@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload build-ep --seed 1 --seconds 6 --trace 0
+    python3 perfbench/run.py --workload query-wn --seed 1 --seconds 34 --trace 0
     python3 perfbench/run.py --workload all
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` is a separate
@@ -214,7 +214,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=6)
+    ap.add_argument("--seconds", type=float, default=34)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     if args.workload == "all":

@@ -1,12 +1,12 @@
-"""The benchmark's workloads, one per reproduced table.
+"""The benchmark's workloads: the RLC index (Table IV build, Table V
+queries) and the ETC fixpoint (Table IV).
 
-- ``build-ep`` (Table IV, RLC build): Algorithm 2 on the EP analog, k=2.
-  Write-heavy; no Spark after set-up. It is the "no change" control for
-  work on the ETC fixpoint.
-- ``query-wn`` (Table V): k=3 builds on the WN analog, and a closed-loop
-  stream of Algorithm 1 lookups (Q1 ``a+``, Q2 ``(a.b)+``, Q3 ``(a.b.c)+``,
-  each class half true and half false, paper §VI-c) and of Q4 ``a+.b+``
-  through the hybrid ``rlc_eval``.
+- ``query-wn`` (Table IV build, Table V): Algorithm 2 builds at k=3 on the
+  WN analog, and a closed-loop stream of Algorithm 1 lookups (Q1 ``a+``,
+  Q2 ``(a.b)+``, Q3 ``(a.b.c)+``, each class half true and half false,
+  paper §VI-c) and of Q4 ``a+.b+`` through the hybrid ``rlc_eval``. No
+  Spark after set-up, so it is the "no change" control for work on the ETC
+  fixpoint.
 - ``etc-ad`` (Table IV, ETC): ``concise_closure`` on the AD analog, k=2,
   then ``EtcIndex.query_batch`` and ``RlcIndex.query_batch`` checked against
   driver Algorithm 1. It bypasses the driver build, so it is the "no change"
@@ -14,16 +14,16 @@
 
 Every workload reports the same end-to-end metrics. ``build_s`` and
 ``index_entries`` are the Table IV indexing time and size of the workload's
-own index: the RLC index on ``build-ep`` and ``query-wn``, ETC on ``etc-ad``.
+own index: the RLC index on ``query-wn``, ETC on ``etc-ad``.
 The lookup and Q4 streams run on every workload against its RLC index
 (``etc-ad`` builds one, untimed, for its answer checks).
 
 Each analog is scaled (``Workload.scale``) so that one run, with its
-set-up, stays well under a minute on a 4-core machine. The graph is the
+set-up, takes about a minute on a 4-core machine. The graph is the
 registry analog (its own ``Analog.seed``) on every run; the workload seed
 draws the queries and their closed-loop order. Re-seeding the graph as well
 moved ``index_entries`` and ``build_s`` by 13-14% (quartile spread over
-five seeds on build-ep), more than a regression bound can absorb.
+five seeds on the EP analog), more than a regression bound can absorb.
 """
 from __future__ import annotations
 
@@ -59,15 +59,14 @@ class Workload:
     scale: float  # Analog.scaled factor
     k: int
     index: str  # "rlc": SequentialRlcIndex build; "etc": concise_closure
-    rounds: int  # builds per untraced run, each followed by stream bursts
+    burst_s: float  # stream time per round (lookups, then Q4)
 
 
 WORKLOADS = {
     w.name: w
     for w in [
-        Workload("build-ep", "EP", 0.25, 2, "rlc", 10),
-        Workload("query-wn", "WN", 0.05, 3, "rlc", 10),
-        Workload("etc-ad", "AD", 0.1, 2, "etc", 1),
+        Workload("query-wn", "WN", 0.05, 3, "rlc", 0.6),
+        Workload("etc-ad", "AD", 0.1, 2, "etc", 4.0),
     ]
 }
 
@@ -82,6 +81,11 @@ DRAWS_PER_QUERY = 50
 SETUP_REPEATS = 3
 #: Wall-clock cap on one concise_closure; exceeding it is a failed operation.
 ETC_MAX_S = 150.0
+#: Untraced runs repeat rounds while another fits in ``--seconds``, and run
+#: at least this many.
+MIN_ROUNDS = 2
+#: Share of a round's stream time given to Q4; the lookups get the rest.
+Q4_SHARE = 7 / 8
 
 
 def percentile(sorted_values: list, q: float):
@@ -159,7 +163,7 @@ class Run:
         with tr.span("setup.warmup") as warm:
             # Only etc-ad times Spark work; the traced run warms up on every
             # workload because the warm-up is what it reports as the Spark
-            # layers of build-ep and query-wn.
+            # layers of query-wn.
             if wl.index == "etc" or tr.enabled:
                 self.warm_up()
         analog = ANALOGS[wl.analog].scaled(wl.scale)
@@ -344,15 +348,15 @@ class Run:
     def bursts(self, index, seconds: float) -> None:
         """One burst of Algorithm 1 lookups (Q1..Qk), then one of Q4 through
         ``rlc_eval``, together ``seconds`` long. A lookup pass takes
-        milliseconds and a Q4 pass a good part of a second, so Q4 gets 3/4
-        of the time, for enough passes per query. The traced run counts the
-        Q4 burst's index probes."""
+        milliseconds and a Q4 pass a good part of a second, so Q4 gets
+        ``Q4_SHARE`` of the time, for enough passes per query. The traced run
+        counts the Q4 burst's index probes."""
         traced = self.tracer.enabled
-        self.stream("query.lookups", index.query, self.lookup_items, self.lookup_best, seconds / 4)
+        self.stream("query.lookups", index.query, self.lookup_items, self.lookup_best, seconds * (1 - Q4_SHARE))
         if traced:
             index.reset_counters()
         call = partial(rlc_eval, index, self.out_adj)
-        passes = self.stream("hybrid.q4", call, self.q4_items, self.q4_best, seconds * 3 / 4)
+        passes = self.stream("hybrid.q4", call, self.q4_items, self.q4_best, seconds * Q4_SHARE)
         if traced:
             sp = self.stream_span
             self.tracer.add_aggregate("hybrid.probe", index.probe_ns, index.probes, parent=sp.index)
@@ -378,14 +382,17 @@ class Run:
 
     # -- the measured section --------------------------------------------------
     def execute(self) -> None:
-        """``rounds`` rounds of: build the workload's index, then one burst
-        of each stream. The bursts take half of ``seconds`` in all.
+        """Rounds of: build the workload's index, then one burst of each
+        stream, ``burst_s`` long. Another round starts while one as long as
+        the last still ends within ``seconds`` of the first; there are at
+        least ``MIN_ROUNDS``.
 
         Every timed metric is the fastest observation over the whole run:
         ``build_s`` the fastest build, each query its fastest latency. On a
-        shared host the same work takes up to 2x longer for seconds at a
-        time, and interference only ever adds time; spreading each metric's
-        samples over the run is what keeps it steady from run to run.
+        shared host the same work takes up to 1.8x longer for tens of seconds
+        at a time, and interference only ever adds time; spreading each
+        metric's samples over the run is what keeps it steady from run to
+        run.
 
         ``etc-ad`` builds an RLC index once, untimed, for its streams and
         checks, and runs each round's bursts before its build. The traced
@@ -393,8 +400,8 @@ class Run:
         tracing overhead."""
         wl = self.workload
         traced = self.tracer.enabled
-        rounds = 1 if traced else wl.rounds
-        stream_s = self.seconds / 2 / rounds
+        clock = time.perf_counter
+        deadline = clock() + self.seconds
         self.lookup_items = [((s, t, L), truth) for _, s, t, L, truth in self.lookups]
         self.q4_items = [((s, t, ("concat_plus", a, b)), truth) for s, t, a, b, truth in self.q4]
         self.lookup_best = [None] * len(self.lookup_items)
@@ -407,9 +414,12 @@ class Run:
             # before each ETC build, while the JVM is idle: lookups timed
             # right after one moved by a third from run to run.
             driver = self.build_rlc()[0]
-        for _ in range(rounds):
+        rounds, round_s = 0, 0.0
+        while rounds < (1 if traced else MIN_ROUNDS) or (not traced and clock() + round_s < deadline):
+            rounds += 1
+            round_start = clock()
             if wl.index == "etc" and driver is not None and not traced:
-                self.bursts(driver, stream_s)
+                self.bursts(driver, wl.burst_s)
             built, seconds, size = build()
             if built is None:
                 continue
@@ -422,7 +432,8 @@ class Run:
             else:
                 driver = built
                 if not traced:
-                    self.bursts(driver, stream_s)
+                    self.bursts(driver, wl.burst_s)
+            round_s = clock() - round_start
         if not times or driver is None:
             return
         self.metrics["build_s"] = min(times)
@@ -440,7 +451,7 @@ class Run:
                 driver = self.traced_build(plain_s=times[0])
             if driver is None or (wl.index == "etc" and closure is None):
                 return
-            self.bursts(driver, stream_s)
+            self.bursts(driver, wl.burst_s)
         self.report_streams()
         if wl.index == "etc":
             queries = [(s, t, L) for _, s, t, L, _ in self.lookups]
