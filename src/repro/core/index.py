@@ -99,8 +99,8 @@ class RlcIndex:
         ).fillna(False, subset=["answer"])
 
     def to_driver(self) -> SequentialRlcIndex:
-        """Collect into a driver-side index sharing Algorithm 1's merge-join
-        query path (used for per-query latency benchmarks)."""
+        """Collect into a driver-side index that answers with the driver's
+        Algorithm 1 (used for per-query latency benchmarks)."""
         aid = {r.id: r.aid for r in self.rank.collect()}
         out_entries = [(r.vertex, r.hub, decode(r.mr)) for r in self.l_out.collect()]
         in_entries = [(r.vertex, r.hub, decode(r.mr)) for r in self.l_in.collect()]

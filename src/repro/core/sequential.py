@@ -1,11 +1,19 @@
 """Faithful single-machine reference implementation of the RLC index.
 
-This module mirrors the paper's Algorithm 1 (query, merge join over entry
-lists sorted by access id) and Algorithm 2 (indexing via backward/forward
-kernel-based search with pruning rules PR1/PR2/PR3). It is the correctness
-anchor for the distributed builder and also the per-query-latency subject for
-the Table V benchmarks (the paper's implementation is single-threaded Java;
-this is its Python twin).
+This module mirrors the paper's Algorithm 1 (query) and Algorithm 2
+(indexing via backward/forward kernel-based search with pruning rules
+PR1/PR2/PR3). It is the correctness anchor for the distributed builder and
+also the per-query-latency subject for the Table V benchmarks (the paper's
+implementation is single-threaded Java; this is its Python twin).
+
+Entries are stored bucketed per vertex as ``{mr: {hub}}``, the hub-label
+layout of pruned landmark labeling (Akiba, Iwata, Yoshida, SIGMOD 2013).
+Algorithm 1 then becomes two set-membership tests (Case 2 of Definition 4)
+and one set intersection (Case 1) on the ``L`` buckets of ``s`` and ``t``.
+This gives the same answer as the paper's merge join over entry lists
+sorted by ``(aid(hub), mr)``, because that join only ever reports a match
+on entries whose ``mr`` equals ``L``, and ``aid`` is one-to-one on hubs.
+Algorithm 2's PR1 probe is a call to the public :meth:`SequentialRlcIndex.query`.
 
 Two ambiguities in the paper's pseudocode are resolved as follows (both are
 forced by Theorem 3 / Lemma 5 — see DESIGN.md §3):
@@ -30,13 +38,18 @@ transitive closure of the exact-``L``-path hop relation.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import defaultdict, deque
+from types import MappingProxyType
 from typing import Iterable
 
 from repro.core.labels import Seq, is_primitive, mr
 
 Adjacency = dict[int, list[tuple[str, int]]]
+#: Per-vertex entries bucketed by minimum repeat: ``{vertex: {mr: {hub}}}``.
+Entries = dict[int, dict[Seq, set[int]]]
+
+_NO_BUCKETS = MappingProxyType({})
+_NO_HUBS: frozenset[int] = frozenset()
 
 
 def inout_order(out_adj: Adjacency, in_adj: Adjacency) -> dict[int, int]:
@@ -58,10 +71,10 @@ class SequentialRlcIndex:
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.aid = inout_order(out_adj, in_adj)
-        # Entry lists per vertex, kept sorted by (aid(hub), mr) so Algorithm 1
-        # is a real merge join (the paper stores entries sorted by access id).
-        self.l_out: dict[int, list[tuple[int, Seq, int]]] = defaultdict(list)
-        self.l_in: dict[int, list[tuple[int, Seq, int]]] = defaultdict(list)
+        self.l_out: Entries = {}
+        self.l_in: Entries = {}
+        # Constraints query() has accepted, so each is validated only once.
+        self._accepted: set[Seq] = set()
         self._build()
 
     @classmethod
@@ -80,64 +93,50 @@ class SequentialRlcIndex:
         self.out_adj = {}
         self.in_adj = {}
         self.aid = aid
-        self.l_out = defaultdict(list)
-        self.l_in = defaultdict(list)
-        for v, h, m in out_entries:
-            self.l_out[v].append((aid[h], m, h))
-        for v, h, m in in_entries:
-            self.l_in[v].append((aid[h], m, h))
-        for d in (self.l_out, self.l_in):
-            for es in d.values():
-                es.sort()
+        self.l_out = {}
+        self.l_in = {}
+        self._accepted = set()
+        for d, es in ((self.l_out, out_entries), (self.l_in, in_entries)):
+            for v, h, m in es:
+                d.setdefault(v, {}).setdefault(m, set()).add(h)
         return self
 
     # -- Algorithm 1 -------------------------------------------------------
     def query(self, s: int, t: int, constraint: Iterable[str]) -> bool:
-        """Evaluate the RLC query ``(s, t, constraint+)``; Algorithm 1."""
+        """Evaluate the RLC query ``(s, t, constraint+)``; Algorithm 1.
+
+        Raises ValueError unless ``constraint`` is a minimum repeat of length
+        at most ``k``; an unknown ``s`` or ``t`` answers False.
+        """
         L = tuple(constraint)
-        if not is_primitive(L) or len(L) > self.k:
-            raise ValueError(f"constraint must be a minimum repeat of length <= k={self.k}")
-        out_s = self.l_out.get(s, [])
-        in_t = self.l_in.get(t, [])
-        # Case 2 of Definition 4: direct entries (binary search, lists sorted).
-        if _contains(out_s, (self.aid.get(t), L, t)) or _contains(
-            in_t, (self.aid.get(s), L, s)
-        ):
-            return True
-        # Case 1: merge join on (aid, mr) restricted to mr == L.
-        i = j = 0
-        while i < len(out_s) and j < len(in_t):
-            ki, kj = out_s[i][:2], in_t[j][:2]
-            if ki == kj:
-                if ki[1] == L:
-                    return True
-                i += 1
-                j += 1
-            elif ki < kj:
-                i += 1
-            else:
-                j += 1
-        return False
+        if L not in self._accepted:
+            if not is_primitive(L) or len(L) > self.k:
+                raise ValueError(f"constraint must be a minimum repeat of length <= k={self.k}")
+            self._accepted.add(L)
+        out_s = self.l_out.get(s, _NO_BUCKETS).get(L, _NO_HUBS)
+        in_t = self.l_in.get(t, _NO_BUCKETS).get(L, _NO_HUBS)
+        # Case 2 of Definition 4: a direct entry; Case 1: a shared hub.
+        return t in out_s or s in in_t or not out_s.isdisjoint(in_t)
 
     def entries(self) -> tuple[dict[int, set[tuple[int, Seq]]], dict[int, set[tuple[int, Seq]]]]:
         """Index contents as ``{vertex: {(hub, mr)}}`` for L_out and L_in."""
         return (
-            {v: {(h, m) for _, m, h in es} for v, es in self.l_out.items() if es},
-            {v: {(h, m) for _, m, h in es} for v, es in self.l_in.items() if es},
+            {v: {(h, m) for m, hs in b.items() for h in hs} for v, b in self.l_out.items()},
+            {v: {(h, m) for m, hs in b.items() for h in hs} for v, b in self.l_in.items()},
         )
 
     def entry_count(self) -> int:
-        return sum(len(v) for v in self.l_out.values()) + sum(len(v) for v in self.l_in.values())
+        return sum(len(hs) for d in (self.l_out, self.l_in) for b in d.values() for hs in b.values())
 
     def size_bytes(self) -> int:
         """Storage estimate matching RlcIndex.size_bytes: 8-byte vertex id +
         the mr label bytes per entry (Table IV's IS column)."""
-        total = 0
-        for d in (self.l_out, self.l_in):
-            for es in d.values():
-                for _, m, _ in es:
-                    total += 8 + len(",".join(m))
-        return total
+        return sum(
+            len(hs) * (8 + len(",".join(m)))
+            for d in (self.l_out, self.l_in)
+            for b in d.values()
+            for m, hs in b.items()
+        )
 
     # -- Algorithm 2 -------------------------------------------------------
     def _build(self) -> None:
@@ -154,10 +153,9 @@ class SequentialRlcIndex:
         s, t = (visited, root) if backward else (root, visited)
         if self.query(s, t, L):  # PR1 (also dedups identical entries)
             return False
-        if backward:  # (root, L) into L_out(visited)
-            insort(self.l_out[visited], (self.aid[root], L, root))
-        else:  # (root, L) into L_in(visited)
-            insort(self.l_in[visited], (self.aid[root], L, root))
+        # (root, L) into L_out(visited) for backward search, else L_in(visited)
+        side = self.l_out if backward else self.l_in
+        side.setdefault(visited, {}).setdefault(L, set()).add(root)
         return True
 
     def _kbs(self, root: int, backward: bool) -> None:
@@ -207,13 +205,6 @@ class SequentialRlcIndex:
                         continue  # PR3: pruned completion — skip y entirely
                     visited.add((y, j2))
                     queue.append((y, j2))
-
-
-def _contains(entries: list[tuple[int, Seq, int]], key: tuple) -> bool:
-    if key[0] is None:
-        return False
-    i = bisect_left(entries, key)
-    return i < len(entries) and entries[i] == key
 
 
 # ---------------------------------------------------------------------------

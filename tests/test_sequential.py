@@ -14,7 +14,14 @@ from repro.core.sequential import (
     inout_order,
 )
 from repro.graphs.generators import FIG2_EDGES
-from tests.util import condensed_violations, query_universe, seeded_graph
+from tests.util import (
+    MergeJoinIndex,
+    ProbeCountingIndex,
+    assert_matches_merge_join,
+    condensed_violations,
+    query_universe,
+    seeded_graph,
+)
 
 
 def fig2_adjacency():
@@ -69,6 +76,7 @@ def test_table2_exact_reproduction(fig2_index):
 
 def test_table2_entry_count(fig2_index):
     assert fig2_index.entry_count() == 26
+    assert fig2_index.size_bytes() == 296
 
 
 @pytest.mark.parametrize(
@@ -83,6 +91,10 @@ def test_table2_entry_count(fig2_index):
         (6, 1, ("l1",), False),      # v6 has no out-edges
         (4, 6, ("l3",), True),
         (3, 4, ("l2",), True),       # covered via Case 1 (hub v1)
+        (3, 6, ["l2", "l1"], True),  # a list constraint answers as the tuple
+        (1, 3, ["l1"], False),
+        (99, 1, ("l1",), False),     # unknown source
+        (1, 99, ("l1",), False),     # unknown target
     ],
 )
 def test_paper_example_queries(fig2_index, s, t, L, expected):
@@ -90,12 +102,18 @@ def test_paper_example_queries(fig2_index, s, t, L, expected):
 
 
 def test_query_rejects_invalid_constraint(fig2_index):
-    with pytest.raises(ValueError):
-        fig2_index.query(1, 2, ("l1", "l1"))  # not a minimum repeat
-    with pytest.raises(ValueError):
-        fig2_index.query(1, 2, ("l1", "l2", "l3"))  # |L| > k
-    with pytest.raises(ValueError):
-        fig2_index.query(1, 2, ())
+    # Rejected on every call, not only the first: query() remembers only the
+    # constraints it accepted.
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            fig2_index.query(1, 2, ("l1", "l1"))  # not a minimum repeat
+        with pytest.raises(ValueError):
+            fig2_index.query(1, 2, ["l1", "l1"])
+        with pytest.raises(ValueError):
+            fig2_index.query(1, 2, ("l1", "l2", "l3"))  # |L| > k
+        with pytest.raises(ValueError):
+            fig2_index.query(1, 2, ())
+        assert fig2_index.query(1, 2, ("l2", "l1")) is True
 
 
 def test_fig2_full_equivalence_with_closure(fig2_index):
@@ -151,6 +169,8 @@ def test_from_entries_roundtrip(fig2_index):
     out_entries = [(v, h, m) for v, es in lo.items() for h, m in es]
     in_entries = [(v, h, m) for v, es in li.items() for h, m in es]
     clone = SequentialRlcIndex.from_entries(fig2_index.aid, 2, out_entries, in_entries)
+    assert clone.entries() == (lo, li)
+    assert (clone.entry_count(), clone.size_bytes()) == (26, 296)
     for s, t, L in query_universe(7, all_mrs(["l1", "l2", "l3"], 2)):
         if s and t:
             assert clone.query(s, t, L) == fig2_index.query(s, t, L)
@@ -182,3 +202,29 @@ def test_kleene_star_reduction(fig2_index, k):
     assert star(1, 1, ("l3",)) is True      # empty path satisfies L*
     assert star(1, 3, ("l2",)) is True
     assert star(6, 2, ("l1",)) is False
+
+
+# ---- bucketed Algorithm 1 vs the paper's merge join ------------------------
+
+def test_merge_join_oracle_on_fig2(fig2_index):
+    out_adj, in_adj = fig2_adjacency()
+    assert MergeJoinIndex(out_adj, in_adj, k=2).entries() == fig2_index.entries()
+    assert_matches_merge_join(fig2_index, query_universe(7, all_mrs(["l1", "l2", "l3"], 2)))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_merge_join_oracle_on_random_graphs(seed):
+    # Entry for entry against a build whose PR1 probes are merge joins, then
+    # every query of the universe against the merge join over the entries.
+    out_adj, in_adj, labels, k = seeded_graph(seed)
+    idx = ProbeCountingIndex(out_adj, in_adj, k)
+    assert MergeJoinIndex(out_adj, in_adj, k).entries() == idx.entries()
+    assert idx.probes - idx.pruned == idx.entry_count()
+    assert_matches_merge_join(idx, query_universe(len(out_adj), all_mrs(labels, k)))
+
+
+def test_pr1_probe_accounting_fig2():
+    # Every PR1 probe is a public query() call; a probe either prunes the
+    # entry or precedes its insert.
+    idx = ProbeCountingIndex(*fig2_adjacency(), k=2)
+    assert (idx.probes, idx.pruned, idx.entry_count()) == (51, 25, 26)

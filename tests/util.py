@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
-from repro.core.labels import Seq
+from repro.core.labels import Seq, is_primitive
 from repro.core.sequential import Adjacency, SequentialRlcIndex
 
 
@@ -68,3 +69,81 @@ def query_universe(
     n: int, mrs: list[Seq]
 ) -> list[tuple[int, int, Seq]]:
     return [(s, t, L) for s in range(n) for t in range(n) for L in mrs]
+
+
+# ---- the paper's Algorithm 1 as a merge join (test-only oracle) -----------
+
+EntryList = list[tuple[int, Seq, int]]
+
+
+def entry_list(aid: dict[int, int], entries: Iterable[tuple[int, Seq]]) -> EntryList:
+    """One vertex's ``{(hub, mr)}`` entries as the paper lays them out: a
+    list of ``(aid(hub), mr, hub)`` sorted by access id."""
+    return sorted((aid[h], m, h) for h, m in entries)
+
+
+def merge_join_query(
+    aid: dict[int, int], out_s: EntryList, in_t: EntryList, s: int, t: int, L: Seq
+) -> bool:
+    """Algorithm 1 over sorted entry lists: Case 2 by lookup, Case 1 by a
+    merge join on ``(aid, mr)`` that reports only matches with ``mr == L``."""
+    if (aid.get(t), L, t) in out_s or (aid.get(s), L, s) in in_t:
+        return True
+    i = j = 0
+    while i < len(out_s) and j < len(in_t):
+        ki, kj = out_s[i][:2], in_t[j][:2]
+        if ki == kj:
+            if ki[1] == L:
+                return True
+            i += 1
+            j += 1
+        elif ki < kj:
+            i += 1
+        else:
+            j += 1
+    return False
+
+
+class MergeJoinIndex(SequentialRlcIndex):
+    """Algorithm 2 whose PR1 probe (the public ``query``) is
+    :func:`merge_join_query` over the entries recorded so far."""
+
+    def query(self, s: int, t: int, constraint: Iterable[str]) -> bool:
+        L = tuple(constraint)
+        if not is_primitive(L) or len(L) > self.k:
+            raise ValueError(f"constraint must be a minimum repeat of length <= k={self.k}")
+        out_s = entry_list(self.aid, _vertex_entries(self.l_out, s))
+        in_t = entry_list(self.aid, _vertex_entries(self.l_in, t))
+        return merge_join_query(self.aid, out_s, in_t, s, t, L)
+
+
+def _vertex_entries(side: dict, v: int) -> list[tuple[int, Seq]]:
+    return [(h, m) for m, hubs in side.get(v, {}).items() for h in hubs]
+
+
+def assert_matches_merge_join(
+    idx: SequentialRlcIndex, queries: Iterable[tuple[int, int, Seq]]
+) -> None:
+    """``idx.query`` answers every query as :func:`merge_join_query` does
+    over lists built from ``idx.entries()``."""
+    lo, li = idx.entries()
+    out_lists = {v: entry_list(idx.aid, es) for v, es in lo.items()}
+    in_lists = {v: entry_list(idx.aid, es) for v, es in li.items()}
+    for s, t, L in queries:
+        want = merge_join_query(idx.aid, out_lists.get(s, []), in_lists.get(t, []), s, t, L)
+        assert idx.query(s, t, L) is want, (s, t, L)
+
+
+class ProbeCountingIndex(SequentialRlcIndex):
+    """Counts calls to the public ``query``; during the build these are
+    Algorithm 2's PR1 probes, and a True answer is a PR1 prune."""
+
+    def __init__(self, out_adj: Adjacency, in_adj: Adjacency, k: int):
+        self.probes = self.pruned = 0
+        super().__init__(out_adj, in_adj, k)
+
+    def query(self, s: int, t: int, constraint: Iterable[str]) -> bool:
+        hit = super().query(s, t, constraint)
+        self.probes += 1
+        self.pruned += hit
+        return hit
