@@ -8,9 +8,8 @@ paper's "-" behaviour) on the denser BA analog even with a generous cap.
 import pytest
 
 from repro.core.closure import Budget, BudgetExceeded, EtcIndex, concise_closure
-from repro.core.index_builder import build_rlc_index
 from repro.core.sequential import SequentialRlcIndex
-from repro.graphs.generators import ANALOGS, build_analog
+from repro.graphs.generators import build_analog
 
 
 @pytest.mark.parametrize("name", ["AD", "EP", "TW"])
@@ -53,10 +52,3 @@ def test_table4_etc_blows_budget_on_ep(benchmark, spark):
     assert benchmark.pedantic(attempt, rounds=1, iterations=1)
     g.unpersist()
 
-
-def test_table4_rlc_distributed_ad_scaled(benchmark, spark):
-    # The dataflow builder on a further-scaled AD (full-size run: jobs/).
-    g = ANALOGS["AD"].scaled(0.3).build(spark)
-    idx = benchmark.pedantic(lambda: build_rlc_index(g, 2), rounds=1, iterations=1)
-    assert idx.entry_count() > 0
-    g.unpersist()

@@ -1,32 +1,20 @@
-"""spark-submit entrypoint: reproduce Table II (Fig. 2 example index).
+"""Entrypoint: reproduce Table II (Fig. 2 example index).
 
-Usage: spark-submit jobs/table2_example_index.py [--no-distributed]
+Usage: python jobs/table2_example_index.py
+
+The index is built on the driver, so no Spark session is started.
 """
 import argparse
-import os
-import sys
-
-from pyspark.sql import SparkSession
 
 from repro.experiments import table2
 
 
 def main(argv=None) -> str:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--no-distributed", action="store_true",
-                    help="skip the distributed-builder comparison run")
-    args = ap.parse_args(argv)
-    spark = SparkSession.builder.appName("table2").getOrCreate()
-    out = table2.format_table(
-        table2.run(spark, include_distributed=not args.no_distributed)
-    )
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    out = table2.format_table(table2.run())
     print(out)
     return out
 
 
 if __name__ == "__main__":
     main()
-    sys.stdout.flush()
-    # Skip normal JVM teardown: a budget-cancelled Spark task can
-    # zombie the shutdown hook (observed with the ETC closure).
-    os._exit(0)

@@ -2,10 +2,7 @@
 
 Usage:
   spark-submit jobs/table4_indexing.py [--datasets AD,EP,TW,WN,WS] [--k 2]
-      [--scale F] [--etc-budget-seconds 120] [--distributed AD]
-
-``--distributed`` lists analogs on which the (slow at this scale) dataflow
-builder is also run; default none.
+      [--scale F] [--etc-budget-seconds 120] [--etc-budget-rows 3000000]
 """
 import argparse
 import os
@@ -23,8 +20,6 @@ def main(argv=None) -> str:
     ap.add_argument("--scale", type=float, default=1.0)
     ap.add_argument("--etc-budget-seconds", type=float, default=120.0)
     ap.add_argument("--etc-budget-rows", type=int, default=3_000_000)
-    ap.add_argument("--distributed", default="",
-                    help="comma-separated analogs to also build with the dataflow builder")
     args = ap.parse_args(argv)
     spark = SparkSession.builder.appName("table4").getOrCreate()
     rows = table4.run(
@@ -34,7 +29,6 @@ def main(argv=None) -> str:
         scale=args.scale,
         etc_budget_seconds=args.etc_budget_seconds,
         etc_budget_rows=args.etc_budget_rows,
-        distributed_names=[s for s in args.distributed.split(",") if s],
     )
     out = table4.format_table(rows)
     print(out)

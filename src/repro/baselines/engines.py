@@ -9,10 +9,11 @@ unavailable offline, so we implement one engine per architecture class:
   paying scheduler/shuffle overhead per query;
 - :class:`PythonTraversalEngine` ("Sys2") — interpreted tuple-at-a-time
   automaton-guided traversal (the classic single-threaded graph-engine
-  evaluation loop);
+  evaluation loop), i.e. :func:`repro.baselines.online.nfa_bfs`;
 - :class:`DuckDbEngine` ("Virtuoso") — the query rewritten to recursive SQL
   over the edge relation and executed by a columnar in-memory SQL engine,
-  which is Virtuoso's architecture class.
+  which is Virtuoso's architecture class. Labels and vertex ids are bound as
+  query parameters, never formatted into the SQL text.
 
 All engines share one interface: ``evaluate(s, t, spec) -> bool`` where
 ``spec`` is either ``("plus", L)`` for ``L+`` or ``("concat_plus", a, b)``
@@ -22,13 +23,11 @@ index lookup with an online traversal.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
-from repro.baselines.online import Nfa, batch_nfa_bfs, nfa_dfs
+from repro.baselines.online import Nfa, batch_nfa_bfs, nfa_bfs
 from repro.core.graph import LabeledGraph
 from repro.core.labels import encode
 from repro.core.sequential import Adjacency, SequentialRlcIndex
@@ -47,16 +46,15 @@ class DuckDbEngine:
         self.con.close()
 
     @staticmethod
-    def _hop_sql(L: Sequence[str]) -> str:
-        """SELECT producing the exact-``L``-path hop relation (src, dst)."""
-        joins = []
-        for i, lbl in enumerate(L):
-            joins.append(f"edges e{i}")
-        cond = [f"e{i}.dst = e{i+1}.src" for i in range(len(L) - 1)]
-        cond += [f"e{i}.label = '{lbl}'" for i, lbl in enumerate(L)]
+    def _hop_sql(m: int) -> str:
+        """SELECT producing the exact-path hop relation (src, dst) for a
+        length-``m`` label sequence, whose labels are the first ``m`` ``?``
+        parameters."""
+        cond = [f"e{i}.dst = e{i+1}.src" for i in range(m - 1)]
+        cond += [f"e{i}.label = ?" for i in range(m)]
         return (
-            f"SELECT e0.src AS src, e{len(L)-1}.dst AS dst FROM "
-            + ", ".join(joins)
+            f"SELECT e0.src AS src, e{m-1}.dst AS dst FROM "
+            + ", ".join(f"edges e{i}" for i in range(m))
             + " WHERE "
             + " AND ".join(cond)
         )
@@ -65,30 +63,32 @@ class DuckDbEngine:
         if spec[0] == "plus":
             L = spec[1]
             sql = f"""
-            WITH RECURSIVE hop AS ({self._hop_sql(L)}),
+            WITH RECURSIVE hop AS ({self._hop_sql(len(L))}),
             reach(v) AS (
-              SELECT dst FROM hop WHERE src = {s}
+              SELECT dst FROM hop WHERE src = ?
               UNION
               SELECT hop.dst FROM reach JOIN hop ON hop.src = reach.v
             )
-            SELECT 1 FROM reach WHERE v = {t} LIMIT 1
+            SELECT 1 FROM reach WHERE v = ? LIMIT 1
             """
+            params = [*L, s, t]
         else:
             _, a, b = spec
-            sql = f"""
+            sql = """
             WITH RECURSIVE ra(v) AS (
-              SELECT dst FROM edges WHERE src = {s} AND label = '{a}'
+              SELECT dst FROM edges WHERE src = ? AND label = ?
               UNION
-              SELECT e.dst FROM ra JOIN edges e ON e.src = ra.v AND e.label = '{a}'
+              SELECT e.dst FROM ra JOIN edges e ON e.src = ra.v AND e.label = ?
             ),
             rb(v) AS (
-              SELECT e.dst FROM edges e JOIN ra ON e.src = ra.v AND e.label = '{b}'
+              SELECT e.dst FROM edges e JOIN ra ON e.src = ra.v AND e.label = ?
               UNION
-              SELECT e.dst FROM rb JOIN edges e ON e.src = rb.v AND e.label = '{b}'
+              SELECT e.dst FROM rb JOIN edges e ON e.src = rb.v AND e.label = ?
             )
-            SELECT 1 FROM rb WHERE v = {t} LIMIT 1
+            SELECT 1 FROM rb WHERE v = ? LIMIT 1
             """
-        return len(self.con.execute(sql).fetchall()) > 0
+            params = [s, a, a, b, b, t]
+        return len(self.con.execute(sql, params).fetchall()) > 0
 
 
 class PythonTraversalEngine:
@@ -103,7 +103,7 @@ class PythonTraversalEngine:
             if spec[0] == "plus"
             else Nfa.concat_plus(spec[1], spec[2])
         )
-        return nfa_dfs(self.out_adj, s, t, nfa)
+        return nfa_bfs(self.out_adj, s, t, nfa)
 
 
 class SparkSqlEngine:

@@ -8,8 +8,8 @@ terminates even on cyclic graphs.
 
 Three implementations:
 
-- :func:`nfa_bfs` / :func:`nfa_dfs` — driver-side product-state search for an
-  arbitrary small NFA (used per-query, and as the Sys2 engine stand-in);
+- :func:`nfa_bfs` — driver-side product-state BFS for an arbitrary small NFA
+  (used per-query, and as the Sys2 engine stand-in);
 - :func:`bibfs` — bidirectional BFS specialized to ``L+`` (the paper's
   strongest online baseline); frontiers meet when forward progress ``i`` and
   backward progress ``j`` align (``(i + j) mod m == 0``) at the same vertex;
@@ -77,24 +77,6 @@ def nfa_bfs(out_adj: Adjacency, s: int, t: int, nfa: Nfa) -> bool:
                 if (w, q2) not in visited:
                     visited.add((w, q2))
                     queue.append((w, q2))
-    return False
-
-
-def nfa_dfs(out_adj: Adjacency, s: int, t: int, nfa: Nfa) -> bool:
-    """Depth-first variant (same product-state memoization); the paper notes
-    DFS as the same-complexity alternative — our Sys2 engine stand-in."""
-    start = (s, nfa.start)
-    visited = {start}
-    stack = [start]
-    while stack:
-        v, q = stack.pop()
-        for lbl, w in out_adj.get(v, ()):
-            for q2 in nfa.step(q, lbl):
-                if w == t and q2 in nfa.accept:
-                    return True
-                if (w, q2) not in visited:
-                    visited.add((w, q2))
-                    stack.append((w, q2))
     return False
 
 

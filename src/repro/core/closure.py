@@ -27,12 +27,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import BooleanType, StringType
+from pyspark.sql.types import BooleanType
 
 from repro.core import labels as lab
 from repro.core.graph import LabeledGraph
 
-udf_mr = F.udf(lambda seq: lab.encode(lab.mr(tuple(seq))), StringType())
 udf_is_primitive = F.udf(lambda seq: lab.is_primitive(tuple(seq)), BooleanType())
 
 

@@ -9,14 +9,17 @@ with ``mr`` a :data:`repro.core.labels.SEP`-encoded minimum repeat. A batch
 of RLC queries is answered with the equi-joins of Definition 4: Case 2 is a
 join on the full triple, Case 1 joins ``L_out(src)`` and ``L_in(dst)`` on the
 (hub, mr) pair — the distributed analogue of Algorithm 1's merge join.
-:func:`covered_pairs` is shared with the index builder, where the identical
-computation implements pruning rule PR1 against the current index snapshot.
+
+The entries themselves come from the driver's Algorithm 2
+(:class:`repro.core.sequential.SequentialRlcIndex`); an :class:`RlcIndex`
+holds them as DataFrames so a whole query workload is answered by the joins
+above instead of one driver lookup at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core.labels import decode
@@ -29,10 +32,6 @@ ENTRY_SCHEMA = StructType(
         StructField("mr", StringType()),
     ]
 )
-
-
-def empty_entries(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], ENTRY_SCHEMA)
 
 
 def covered_pairs(

@@ -77,11 +77,6 @@ def power_exponent(seq: Sequence[str]) -> tuple[Seq, int]:
     return m, (len(seq) // len(m) if m else 0)
 
 
-def power(seq: Sequence[str], z: int) -> Seq:
-    """Concatenate ``seq`` with itself ``z`` times (``L^z``)."""
-    return tuple(seq) * z
-
-
 def kernel_tail(seq: Sequence[str]) -> tuple[Seq, Seq] | None:
     """Kernel/tail decomposition of Definition 3, or None if no kernel exists.
 

@@ -2,9 +2,10 @@
 
 This module mirrors the paper's Algorithm 1 (query) and Algorithm 2
 (indexing via backward/forward kernel-based search with pruning rules
-PR1/PR2/PR3). It is the correctness anchor for the distributed builder and
-also the per-query-latency subject for the Table V benchmarks (the paper's
-implementation is single-threaded Java; this is its Python twin).
+PR1/PR2/PR3). It is the repository's one RLC index builder: the Table II,
+IV and V subject (the paper's implementation is single-threaded Java; this
+is its Python twin), and the source of the entries that
+:class:`repro.core.index.RlcIndex` answers batch queries from.
 
 Entries are stored bucketed per vertex as ``{mr: {hub}}``, the hub-label
 layout of pruned landmark labeling (Akiba, Iwata, Yoshida, SIGMOD 2013).
@@ -86,8 +87,8 @@ class SequentialRlcIndex:
         in_entries: list[tuple[int, int, Seq]],
     ) -> "SequentialRlcIndex":
         """Wrap already-built entries ``(vertex, hub, mr)`` (e.g. collected
-        from a distributed :class:`repro.core.index.RlcIndex`) so Algorithm 1
-        runs on them without rebuilding."""
+        from the Spark tables of a :class:`repro.core.index.RlcIndex`) so
+        Algorithm 1 runs on them without rebuilding."""
         self = object.__new__(cls)
         self.k = k
         self.out_adj = {}

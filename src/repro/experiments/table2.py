@@ -1,17 +1,13 @@
 """Table II reproduction: the RLC index contents for the Fig. 2 graph (k=2).
 
 The sequential Algorithm 2 reproduces the paper's table *verbatim* (26
-entries); the distributed builder is reported next to it with its
-(correct-by-construction, slightly redundant) entry count.
+entries). No Spark session is needed: the index is built on the driver.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
-from repro.core.index_builder import build_rlc_index
 from repro.core.labels import encode
 from repro.core.sequential import SequentialRlcIndex
-from repro.graphs.generators import FIG2_EDGES, fig2_graph
+from repro.graphs.generators import FIG2_EDGES
 
 #: Paper Table II entry count (sum over all L_in/L_out cells).
 PAPER_ENTRY_COUNT = 26
@@ -26,32 +22,23 @@ def fig2_adjacency():
     return out_adj, in_adj
 
 
-def run(spark: SparkSession | None = None, include_distributed: bool = True) -> dict:
+def run() -> dict:
     out_adj, in_adj = fig2_adjacency()
     seq = SequentialRlcIndex(out_adj, in_adj, 2)
     lo, li = seq.entries()
-    result = {
+    return {
         "sequential_entries": seq.entry_count(),
         "paper_entries": PAPER_ENTRY_COUNT,
         "l_out": {v: sorted((h, encode(m)) for h, m in lo.get(v, set())) for v in range(1, 7)},
         "l_in": {v: sorted((h, encode(m)) for h, m in li.get(v, set())) for v in range(1, 7)},
     }
-    if include_distributed and spark is not None:
-        dist = build_rlc_index(fig2_graph(spark), 2, first_batch=2, batch_cap=2)
-        result["distributed_entries"] = dist.entry_count()
-    return result
 
 
 def format_table(result: dict) -> str:
     lines = [
         "Table II — RLC index for the Fig. 2 graph (k = 2)",
         f"entries: measured(sequential)={result['sequential_entries']} "
-        f"paper={result['paper_entries']}"
-        + (
-            f" distributed={result['distributed_entries']}"
-            if "distributed_entries" in result
-            else ""
-        ),
+        f"paper={result['paper_entries']}",
         f"{'v':>3} | {'L_in(v)':<55} | L_out(v)",
     ]
     for v in range(1, 7):

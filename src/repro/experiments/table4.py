@@ -1,13 +1,10 @@
 """Table IV reproduction: indexing time (IT) and index size (IS), RLC vs ETC.
 
-Three builders per graph analog:
+Two builders per graph analog:
 
-- **RLC (sequential)** — the paper's Algorithm 2 verbatim
+- **RLC** — the paper's Algorithm 2 verbatim
   (:class:`repro.core.sequential.SequentialRlcIndex`; the paper's own
   implementation is single-threaded, so this is the faithful IT/IS subject);
-- **RLC (distributed)** — the hop-lifted batched dataflow builder
-  (:func:`repro.core.index_builder.build_rlc_index`); optional because per-
-  iteration scheduling overhead dominates at analog scale (DESIGN.md §3);
 - **ETC** — the distributed concise transitive closure under a
   :class:`repro.core.closure.Budget`; "-" marks budget exhaustion, the
   analogue of the paper's 24-hour timeout (ETC finished only on AD there).
@@ -19,7 +16,6 @@ import time
 from pyspark.sql import SparkSession
 
 from repro.core.closure import Budget, BudgetExceeded, EtcIndex, concise_closure
-from repro.core.index_builder import build_rlc_index
 from repro.core.sequential import SequentialRlcIndex
 from repro.graphs.generators import ANALOGS
 
@@ -54,10 +50,8 @@ def run(
     # rows (~2x the AD analog's closure) at our ~100x-smaller scale.
     etc_budget_seconds: float = 120.0,
     etc_budget_rows: int = 3_000_000,
-    distributed_names: list[str] | None = None,
 ) -> list[dict]:
     names = names or DEFAULT_NAMES
-    distributed_names = distributed_names if distributed_names is not None else []
     rows = []
     for name in names:
         spec = ANALOGS[name]
@@ -73,13 +67,6 @@ def run(
         row["rlc_seq_it"] = time.monotonic() - t0
         row["rlc_seq_entries"] = seq.entry_count()
         row["rlc_seq_mb"] = seq.size_bytes() / 1e6
-
-        if name in distributed_names:
-            t0 = time.monotonic()
-            dist = build_rlc_index(g, k)
-            row["rlc_dist_it"] = time.monotonic() - t0
-            row["rlc_dist_entries"] = dist.entry_count()
-            row["rlc_dist_mb"] = dist.size_bytes() / 1e6
 
         t0 = time.monotonic()
         try:
@@ -115,10 +102,4 @@ def format_table(rows: list[dict]) -> str:
             f" {r['rlc_seq_entries']:>9} | {etc_it:>10} {etc_mb:>11}"
             f" | {p_rlc_it:>14.1f}/{p_rlc_is:>7.1f} | {p_etc}"
         )
-        if "rlc_dist_it" in r:
-            lines.append(
-                f"{'':<6} |   [distributed dataflow builder: "
-                f"IT={r['rlc_dist_it']:.1f}s IS={r['rlc_dist_mb']:.2f}MB "
-                f"entries={r['rlc_dist_entries']}]"
-            )
     return "\n".join(lines)

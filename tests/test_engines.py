@@ -12,6 +12,7 @@ from repro.core.labels import all_mrs
 from repro.core.sequential import SequentialRlcIndex, brute_force_closure
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from tests.test_online import brute_concat_plus
+from tests.util import query_universe
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,41 @@ ALL = [(s, t, L) for s in range(1, 7) for t in range(1, 7)
 def test_duckdb_engine_plus(duck, truth):
     for s, t, L in ALL:
         assert duck.evaluate(s, t, ("plus", L)) == ((s, t, L) in truth), (s, t, L)
+
+
+#: Labels with a single quote: the DuckDB engine must bind them, not format
+#: them into its SQL.
+QUOTED_EDGES = [
+    (0, "it's", 1), (1, "a'b", 2), (2, "it's", 0), (2, "a'b", 2),
+    (1, "it's", 3), (3, "a'b", 3), (3, "it's", 1),
+]
+
+
+def test_duckdb_engine_quoted_labels():
+    import pandas as pd
+
+    out_adj = {v: [] for v in range(4)}
+    for s, l, t in QUOTED_EDGES:
+        out_adj[s].append((l, t))
+    truth = brute_force_closure(out_adj, 2)
+    eng = DuckDbEngine(pd.DataFrame(QUOTED_EDGES, columns=["src", "label", "dst"]))
+    try:
+        plus = {
+            (s, t, L): eng.evaluate(s, t, ("plus", L))
+            for s, t, L in query_universe(4, all_mrs(["it's", "a'b"], 2))
+        }
+        assert plus == {q: q in truth for q in plus}
+        assert set(plus.values()) == {True, False}
+        concat = {
+            (s, t): eng.evaluate(s, t, ("concat_plus", "it's", "a'b"))
+            for s in range(4) for t in range(4)
+        }
+        assert concat == {
+            (s, t): brute_concat_plus(out_adj, s, t, "it's", "a'b") for s, t in concat
+        }
+        assert set(concat.values()) == {True, False}
+    finally:
+        eng.close()
 
 
 def test_python_engine_plus(fig2_driver, truth):

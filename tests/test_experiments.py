@@ -6,8 +6,8 @@ import pytest
 from repro.experiments import table2, table3, table4, table5
 
 
-def test_table2_run(spark):
-    result = table2.run(spark, include_distributed=False)
+def test_table2_run():
+    result = table2.run()
     assert result["sequential_entries"] == result["paper_entries"] == 26
     out = table2.format_table(result)
     assert "v1" in out and "(v3,l1,l2)" in out.replace("','", ",")

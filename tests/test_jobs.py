@@ -1,23 +1,21 @@
 """Smoke tests: each spark-submit job entrypoint runs end-to-end at tiny
 scale (inside pytest the job's SparkSession.getOrCreate() reuses the session
 fixture)."""
-import importlib.util
 import pathlib
 
 import pytest
+
+from tests.util import load_file
 
 JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 
 
 def load_job(name):
-    spec = importlib.util.spec_from_file_location(name, JOBS / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return load_file(JOBS / f"{name}.py")
 
 
-def test_table2_job(spark):
-    out = load_job("table2_example_index").main(["--no-distributed"])
+def test_table2_job():
+    out = load_job("table2_example_index").main([])
     assert "Table II" in out and "26" in out
 
 

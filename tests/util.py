@@ -1,11 +1,25 @@
 """Shared test helpers: random labeled graphs and index property checks."""
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
+from types import ModuleType
 from typing import Iterable
 
-from repro.core.labels import Seq, is_primitive
+from pyspark.sql import SparkSession
+
+from repro.core.index import ENTRY_SCHEMA, RlcIndex
+from repro.core.labels import Seq, encode, is_primitive
 from repro.core.sequential import Adjacency, SequentialRlcIndex
+
+
+def load_file(path: pathlib.Path) -> ModuleType:
+    """Import a script (a job or a benchmark) by path, outside any package."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def rand_adjacency(
@@ -63,6 +77,19 @@ def condensed_violations(idx: SequentialRlcIndex) -> list[tuple]:
                 if L2 == L and u != s and (u, L) in es:
                     bad.append(("in", s, t, L, u))
     return bad
+
+
+def rlc_index(spark: SparkSession, idx: SequentialRlcIndex) -> RlcIndex:
+    """``idx``'s entries and access ids as the Spark tables of an
+    :class:`RlcIndex`, so ``query_batch`` runs on driver-built entries."""
+    lo, li = idx.entries()
+
+    def table(entries: dict[int, set[tuple[int, Seq]]]):
+        rows = [(v, h, encode(m)) for v, es in entries.items() for h, m in es]
+        return spark.createDataFrame(rows, ENTRY_SCHEMA)
+
+    rank = spark.createDataFrame(list(idx.aid.items()), "id long, aid int")
+    return RlcIndex(k=idx.k, l_out=table(lo), l_in=table(li), rank=rank)
 
 
 def query_universe(
