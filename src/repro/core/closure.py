@@ -15,24 +15,31 @@ semi-naive transitive closure with ``mr`` in the join key — all labels'
 closures advance in the same iteration, which is the "edge tables
 partitioned by label" dataflow mapping.
 
+Step (2) is a native Spark SQL predicate (:func:`primitive_predicate`), not
+a Python UDF: a sequence of length ``m`` is primitive iff it differs from
+its rotation by every proper divisor ``d`` of ``m``, and for ``m ≤ k`` those
+rotations are fixed ``slice``/``concat`` expressions. The plan therefore has
+no Python evaluation node and the query starts no Python worker.
+
 ETC blows up exactly as the paper reports (Table IV: buildable only for the
 smallest graph in 24h); :class:`Budget` lets callers cap wall-clock time or
 materialized pairs and report "-" instead of hanging.
 """
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 
-from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import BooleanType
+from pyspark.sql import Column, DataFrame, functions as F
 
 from repro.core import labels as lab
 from repro.core.graph import LabeledGraph
 
-udf_is_primitive = F.udf(lambda seq: lab.is_primitive(tuple(seq)), BooleanType())
+logger = logging.getLogger(__name__)
 
 
 class BudgetExceeded(RuntimeError):
@@ -114,12 +121,34 @@ def exact_paths(graph: LabeledGraph, k: int) -> DataFrame:
     return out
 
 
+def primitive_predicate(k: int) -> Column:
+    """Spark SQL twin of :func:`repro.core.labels.is_primitive` on the
+    ``array<string>`` column ``seq``: true iff the sequence is non-empty, at
+    most ``k`` long and primitive.
+
+    ``seq`` of length ``m`` equals ``u^(m/d)`` for some ``|u| = d`` iff it
+    equals its rotation by ``d``, so it is primitive iff it differs from its
+    rotation by every proper divisor ``d`` of ``m``. Arrays compare element
+    by element, so labels containing the MR separator are handled exactly.
+    """
+    seq = F.col("seq")
+    pred = F.when(F.size(seq) == 1, True)
+    for m in range(2, k + 1):
+        rotations_differ = [
+            seq != F.concat(F.slice(seq, d + 1, m - d), F.slice(seq, 1, d))
+            for d in range(1, m)
+            if m % d == 0
+        ]
+        pred = pred.when(F.size(seq) == m, reduce(lambda a, b: a & b, rotations_differ))
+    return pred.otherwise(False)
+
+
 def mr_hops(graph: LabeledGraph, k: int) -> DataFrame:
     """The union of hop relations: ``(mr, src, dst)`` for every primitive
     exact sequence of length ≤ k (deduplicated)."""
     paths = exact_paths(graph, k)
     return (
-        paths.where(udf_is_primitive("seq"))
+        paths.where(primitive_predicate(k))
         .select(F.array_join("seq", lab.SEP).alias("mr"), "src", "dst")
         .distinct()
     )
@@ -132,6 +161,8 @@ def concise_closure(
 
     Semi-naive iteration: ``delta' = delta ⋈ R`` (extend by one primitive
     hop) minus known, until empty. Returns a localCheckpoint'ed DataFrame.
+    Logs ``(iteration, delta_rows, seconds)`` for every iteration, the last
+    (empty) one included, to this module's logger at INFO level.
     """
     budget = (budget or Budget()).start()
     spark = graph.edges.sparkSession
@@ -146,6 +177,7 @@ def concise_closure(
         it = 0
         while True:
             it += 1
+            t0 = time.perf_counter()
             new = (
                 delta.join(r, (delta["mr"] == F.col("_m")) & (delta["dst"] == F.col("_s")))
                 .select(delta["mr"], delta["src"], F.col("_d").alias("dst"))
@@ -153,12 +185,17 @@ def concise_closure(
             )
             delta = new.join(closure, ["mr", "src", "dst"], "left_anti").localCheckpoint()
             n = delta.count()
+            if n:
+                old = closure
+                closure = closure.unionByName(delta).localCheckpoint()
+                old.unpersist()
+                total += n
+            logger.info(
+                "concise_closure iteration %d: %d delta rows, %.3f s",
+                it, n, time.perf_counter() - t0,
+            )
             if n == 0:
                 break
-            old = closure
-            closure = closure.unionByName(delta).localCheckpoint()
-            old.unpersist()
-            total += n
             budget.check(total, it, "concise_closure(ETC)")
     return closure
 

@@ -142,9 +142,12 @@ class SequentialRlcIndex:
     # -- Algorithm 2 -------------------------------------------------------
     def _build(self) -> None:
         order = sorted(self.aid, key=self.aid.get)
+        # MR of every search sequence seen in this build: at most |labels|^k
+        # distinct keys, against one KMP pass per new (vertex, seq) state.
+        mrs: dict[Seq, Seq] = {}
         for v in order:
-            self._kbs(v, backward=True)
-            self._kbs(v, backward=False)
+            self._kbs(v, backward=True, mrs=mrs)
+            self._kbs(v, backward=False, mrs=mrs)
 
     def _insert(self, visited: int, root: int, L: Seq, backward: bool) -> bool:
         """Paper's ``insert``: PR2 then PR1, else record. Returns True iff
@@ -159,10 +162,10 @@ class SequentialRlcIndex:
         side.setdefault(visited, {}).setdefault(L, set()).add(root)
         return True
 
-    def _kbs(self, root: int, backward: bool) -> None:
+    def _kbs(self, root: int, backward: bool, mrs: dict[Seq, Seq]) -> None:
         """One kernel-based search from ``root`` (§V-B): kernel-search to
         depth ``k`` (all paths, no traversal pruning) then one kernel-BFS per
-        kernel candidate with PR3."""
+        kernel candidate with PR3. ``mrs`` memoises :func:`mr` per build."""
         adj = self.in_adj if backward else self.out_adj
         k = self.k
         # --- kernel-search: BFS over (vertex, seq), deduplicated ----------
@@ -178,7 +181,9 @@ class SequentialRlcIndex:
                     if key in seen:
                         continue
                     seen.add(key)
-                    L = mr(seq2)
+                    L = mrs.get(seq2)
+                    if L is None:
+                        L = mrs[seq2] = mr(seq2)
                     self._insert(y, root, L, backward)
                     # Every sequence is an exact power of its MR: y seeds the
                     # kernel-BFS of kernel candidate L.

@@ -1,5 +1,9 @@
 """Tests for the distributed concise closure (ETC) against brute force and a
-DuckDB recursive-CTE oracle."""
+DuckDB recursive-CTE oracle, and for its native primitivity predicate
+against :func:`repro.core.labels.is_primitive`."""
+import logging
+from itertools import product
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -10,14 +14,54 @@ from repro.core.closure import (
     concise_closure,
     exact_paths,
     mr_hops,
+    primitive_predicate,
 )
 from repro.core.graph import LabeledGraph
-from repro.core.labels import encode
+from repro.core.labels import encode, is_primitive
 from repro.core.querygen import queries_to_df
-from repro.core.sequential import brute_force_closure
-from repro.graphs.generators import fig2_graph
+from repro.core.sequential import Adjacency, brute_force_closure
+from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from repro.oracle import assert_equivalent
 from tests.util import adjacency_edges, seeded_graph
+
+#: Labels that break string-joined MRs (",") or SQL quoting ("it's"), plus
+#: non-ASCII and the empty label.
+HOSTILE_LABELS = ["a", "b", ",", "it's", "é", ""]
+
+#: Edge lists checked at k=3: Fig. 2 and two random graphs with 3 and 2 labels.
+K3_GRAPHS = {
+    "fig2": FIG2_EDGES,
+    "seed5": adjacency_edges(seeded_graph(5)[0]),
+    "seed7": adjacency_edges(seeded_graph(7)[0]),
+}
+
+
+def out_adjacency(edges: list[tuple[int, str, int]]) -> Adjacency:
+    out_adj: Adjacency = {}
+    for s, lbl, t in edges:
+        out_adj.setdefault(s, []).append((lbl, t))
+        out_adj.setdefault(t, [])
+    return out_adj
+
+
+def driver_hops(out_adj: Adjacency, k: int) -> set[tuple[str, int, int]]:
+    """Reference hop table: every exact path sequence of length <= k,
+    enumerated on the driver and kept iff ``is_primitive``."""
+    hops = set()
+    for u in out_adj:
+        level = {(u, ())}
+        for _ in range(k):
+            level = {(y, seq + (lbl,)) for x, seq in level for lbl, y in out_adj[x]}
+            hops |= {(encode(seq), u, y) for y, seq in level if is_primitive(seq)}
+    return hops
+
+
+def closure_rows(closure) -> set[tuple[int, int, str]]:
+    return {(r.src, r.dst, r.mr) for r in closure.collect()}
+
+
+def brute_rows(out_adj: Adjacency, k: int) -> set[tuple[int, int, str]]:
+    return {(s, t, encode(L)) for s, t, L in brute_force_closure(out_adj, k)}
 
 
 @pytest.fixture(scope="module")
@@ -51,23 +95,76 @@ def test_mr_hops_only_primitive(spark, fig2):
     assert {(r.src, r.dst) for r in hops if r.mr == "l2"} >= {(1, 3), (3, 1), (3, 4)}
 
 
-def test_closure_matches_brute_force_fig2(spark, fig2, fig2_closure):
-    got = {(r.src, r.dst, r.mr) for r in fig2_closure.collect()}
-    out_adj = {}
-    for r in fig2.edges.collect():
-        out_adj.setdefault(r.src, []).append((r.label, r.dst))
-        out_adj.setdefault(r.dst, [])
-    want = {(s, t, encode(L)) for s, t, L in brute_force_closure(out_adj, 2)}
+def test_primitive_predicate_matches_is_primitive(spark):
+    """The Spark predicate equals ``is_primitive`` on every sequence of
+    length 1..5 over hostile labels, and rejects sequences longer than k."""
+    seqs = [list(s) for m in range(1, 6) for s in product(HOSTILE_LABELS, repeat=m)]
+    df = spark.createDataFrame([(s,) for s in seqs], "seq array<string>")
+    rows = df.select("seq", primitive_predicate(5).alias("p5"), primitive_predicate(2).alias("p2"))
+    got = {tuple(r.seq): (r.p5, r.p2) for r in rows.collect()}
+    assert len(got) == len(seqs) == 9330
+    want = {s: (is_primitive(s), len(s) <= 2 and is_primitive(s)) for s in map(tuple, seqs)}
     assert got == want
+
+
+def test_mr_hops_plans_no_python_udf(spark, fig2):
+    plan = mr_hops(fig2, 2)._jdf.queryExecution().executedPlan().toString()
+    assert "EvalPython" not in plan
+
+
+@pytest.mark.parametrize("graph", K3_GRAPHS)
+def test_mr_hops_matches_driver_reference(spark, graph):
+    edges = K3_GRAPHS[graph]
+    g = LabeledGraph.from_edge_list(spark, edges)
+    got = {(r.mr, r.src, r.dst) for r in mr_hops(g, 3).collect()}
+    assert got == driver_hops(out_adjacency(edges), 3)
+
+
+def test_closure_matches_brute_force_fig2(spark, fig2, fig2_closure):
+    assert closure_rows(fig2_closure) == brute_rows(out_adjacency(FIG2_EDGES), 2)
+
+
+@pytest.mark.parametrize("graph", K3_GRAPHS)
+def test_closure_matches_brute_force_k3(spark, graph):
+    edges = K3_GRAPHS[graph]
+    g = LabeledGraph.from_edge_list(spark, edges)
+    assert closure_rows(concise_closure(g, 3)) == brute_rows(out_adjacency(edges), 3)
+
+
+class RecordingBudget(Budget):
+    def start(self) -> "RecordingBudget":
+        self.checks = []
+        return super().start()
+
+    def check(self, rows: int, iteration: int, what: str) -> None:
+        self.checks.append((iteration, rows))
+        super().check(rows, iteration, what)
+
+
+def test_closure_logs_each_iteration(spark, fig2, caplog):
+    """One INFO record per fixpoint iteration, the empty last one included;
+    the logged deltas add up to the closure, and Budget.check still runs
+    after every non-empty iteration with the cumulative row count."""
+    budget = RecordingBudget()
+    with caplog.at_level(logging.INFO, logger="repro.core.closure"):
+        closure = concise_closure(fig2, 2, budget)
+    logged = [r.args for r in caplog.records if r.name == "repro.core.closure"]
+    its = [it for it, _, _ in logged]
+    deltas = [n for _, n, _ in logged]
+    assert its == list(range(1, len(logged) + 1)) and len(logged) >= 2
+    assert deltas[-1] == 0 and all(deltas[:-1])
+    assert all(sec >= 0 for _, _, sec in logged)
+    hops = mr_hops(fig2, 2).count()
+    assert hops + sum(deltas) == closure.count() == 42
+    totals = [hops + sum(deltas[:i]) for i in its[:-1]]
+    assert budget.checks == list(zip(its[:-1], totals))
 
 
 @pytest.mark.parametrize("seed", [1, 4])
 def test_closure_matches_brute_force_random(spark, seed):
     out_adj, _, _, k = seeded_graph(seed)
     g = LabeledGraph.from_edge_list(spark, adjacency_edges(out_adj))
-    got = {(r.src, r.dst, r.mr) for r in concise_closure(g, k).collect()}
-    want = {(s, t, encode(L)) for s, t, L in brute_force_closure(out_adj, k)}
-    assert got == want
+    assert closure_rows(concise_closure(g, k)) == brute_rows(out_adj, k)
 
 
 def test_closure_duckdb_recursive_cte_oracle(spark, fig2, fig2_closure):

@@ -32,7 +32,12 @@ def test_table4_job(spark):
 
 
 def test_table5_job(spark):
+    """The job's argument wiring only, at the smallest inputs the harness
+    accepts (no Sys1 Spark queries); test_experiments.test_table5_run_tiny
+    checks the harness itself."""
     out = load_job("table5_engines").main(
-        ["--scale", "0.06", "--queries", "6", "--spark-engine-queries", "1"]
+        ["--dataset", "WN", "--scale", "0.001", "--k", "3", "--queries", "2",
+         "--spark-engine-queries", "0", "--seed", "1"]
     )
     assert "Table V" in out and "Sys2" in out
+    assert "(WN analog, scale=1/100*0.001, |V|=20," in out and "k=3)" in out
