@@ -2,7 +2,8 @@
 
 Usage: python jobs/table2_example_index.py
 
-The index is built on the driver, so no Spark session is started.
+The index is built on the driver by the paper's Algorithm 2
+(``Algorithm2Index``), so no Spark session is started.
 """
 import argparse
 

@@ -1,4 +1,6 @@
-"""spark-submit entrypoint: reproduce Table IV (indexing time/size, RLC vs ETC).
+"""spark-submit entrypoint: reproduce Table IV (indexing time/size, RLC vs ETC),
+then print each RLC build's stats (insert attempts, prunes, path-table size,
+per-phase seconds).
 
 Usage:
   spark-submit jobs/table4_indexing.py [--datasets AD,EP,TW,WN,WS] [--k 2]
@@ -30,7 +32,7 @@ def main(argv=None) -> str:
         etc_budget_seconds=args.etc_budget_seconds,
         etc_budget_rows=args.etc_budget_rows,
     )
-    out = table4.format_table(rows)
+    out = table4.format_table(rows) + "\n\n" + table4.format_stats(rows)
     print(out)
     return out
 

@@ -1,11 +1,27 @@
-"""Faithful single-machine reference implementation of the RLC index.
+"""The single-machine RLC index: the paper's Algorithm 1 (query) and
+Algorithm 2 (indexing by backward/forward kernel-based search with pruning
+rules PR1/PR2/PR3).
 
-This module mirrors the paper's Algorithm 1 (query) and Algorithm 2
-(indexing via backward/forward kernel-based search with pruning rules
-PR1/PR2/PR3). It is the repository's one RLC index builder: the Table II,
-IV and V subject (the paper's implementation is single-threaded Java; this
-is its Python twin), and the source of the entries that
-:class:`repro.core.index.RlcIndex` answers batch queries from.
+:class:`SequentialRlcIndex` is the repository's one RLC index builder: the
+Table IV and V subject (the paper's implementation is single-threaded Java;
+this is its Python twin), and the source of the entries that
+:class:`repro.core.index.RlcIndex` answers batch queries from. Its search is
+Algorithm 2 *hop-lifted*: every ``u ~L+~> v`` path splits into exact-``L``
+hops (§IV), so once per build and per direction it enumerates every
+vertex's exact paths of length 1..k (:func:`path_table`), reads each root's
+kernel-search off its row of that table, and runs each kernel-BFS over
+completion vertices only, stepping from ``x`` to ``table[x][L]``. It
+records the same entries as the paper's search, which
+:class:`Algorithm2Index` keeps verbatim (the kernel-BFS label state machine)
+as Table II's artifact and the tests' oracle. The two searches differ only
+in how often they probe: a completion the paper's kernel-BFS prunes is
+probed again each time it is reached, while the hop-lifted search marks it
+seen. That cannot change an entry. PR2 is static and PR1 only ever grows
+the index, so a pruned completion stays pruned. And within one search the
+probe order cannot change an answer: a backward search from ``root`` writes
+only ``(root, L)`` into ``L_out(y)``, while its probe ``query(y, root, L)``
+reads ``L_out(y)`` and ``L_in(root)`` (the forward search is the mirror
+case). Each build leaves its cost in ``stats`` (:class:`BuildStats`).
 
 Entries are stored bucketed per vertex as ``{mr: {hub}}``, the hub-label
 layout of pruned landmark labeling (Akiba, Iwata, Yoshida, SIGMOD 2013).
@@ -28,18 +44,22 @@ forced by Theorem 3 / Lemma 5 — see DESIGN.md §3):
 - The kernel-BFS of kernel ``L`` is seeded with every vertex whose
   kernel-search sequence is an exact power of ``L`` (every sequence is an
   exact power of its MR, so this is "the frontier of kernel candidate
-  ``MR(seq)``"), each marked visited in the completed state. Seeding only
-  depth-``|L|`` vertices breaks completeness when a deeper exact-power vertex
-  is PR3-pruned through one branch but extensible through another.
+  ``MR(seq)``"), each marked visited in the completed state and expanded
+  whether or not its own entry was pruned. Seeding only depth-``|L|``
+  vertices breaks completeness when a deeper exact-power vertex is
+  PR3-pruned through one branch but extensible through another.
 
 Also contains :func:`brute_force_closure` — an exponential-free reference for
 the concise transitive closure ``S^k`` used as ground truth in tests, built on
 the paper's §IV observation that ``u ~L+~> v`` iff ``(u, v)`` is in the
-transitive closure of the exact-``L``-path hop relation.
+transitive closure of the exact-``L``-path hop relation. It shares no code
+with the builders.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+import time
+from collections import Counter, defaultdict, deque
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable
 
@@ -48,6 +68,8 @@ from repro.core.labels import Seq, is_primitive, mr
 Adjacency = dict[int, list[tuple[str, int]]]
 #: Per-vertex entries bucketed by minimum repeat: ``{vertex: {mr: {hub}}}``.
 Entries = dict[int, dict[Seq, set[int]]]
+#: Per-vertex exact paths of length 1..k: ``{vertex: {seq: [vertex, ...]}}``.
+PathTable = dict[int, dict[Seq, list[int]]]
 
 _NO_BUCKETS = MappingProxyType({})
 _NO_HUBS: frozenset[int] = frozenset()
@@ -64,8 +86,52 @@ def inout_order(out_adj: Adjacency, in_adj: Adjacency) -> dict[int, int]:
     return {v: i + 1 for i, v in enumerate(scored)}
 
 
+def path_table(adj: Adjacency, k: int, backward: bool = False) -> PathTable:
+    """Every vertex's exact paths of length 1..k, one BFS over ``(vertex,
+    seq)`` per vertex. Over ``out_adj``, ``table[x][seq]`` lists the ``y``
+    with a path ``x -> y`` spelling ``seq``; with ``backward=True`` over
+    ``in_adj`` it lists the ``y`` with a path ``y -> x`` spelling ``seq``
+    (read in edge direction). Its primitive sequences are the hop relation
+    ``closure.mr_hops`` computes in Spark."""
+    table: PathTable = {}
+    for x in adj:
+        row: dict[Seq, list[int]] = {}
+        level: dict[Seq, set[int]] = {(): {x}}
+        for _ in range(k):
+            nxt: dict[Seq, set[int]] = defaultdict(set)
+            for seq, zs in level.items():
+                for z in zs:
+                    for lbl, y in adj.get(z, ()):
+                        nxt[(lbl,) + seq if backward else seq + (lbl,)].add(y)
+            level = nxt
+            row.update((seq, list(ys)) for seq, ys in nxt.items())
+        table[x] = row
+    return table
+
+
+@dataclass(frozen=True)
+class BuildStats:
+    """What one build cost. Every insert attempt is pruned by PR2, or probes
+    PR1 (a public :meth:`SequentialRlcIndex.query` call) and is then pruned
+    or recorded: ``attempts = pr2_pruned + probes`` and ``probes =
+    pr1_pruned + recorded``."""
+
+    attempts: int
+    pr2_pruned: int
+    probes: int
+    pr1_pruned: int
+    recorded: int
+    table_states: int  # (vertex, seq, vertex) triples in both path tables
+    table_s: float  # path-table enumeration
+    search_s: float  # kernel-based search, PR1 probes included
+
+
 class SequentialRlcIndex:
-    """The RLC index of Definition 4, built by the paper's Algorithm 2."""
+    """The RLC index of Definition 4, built by a hop-lifted Algorithm 2.
+
+    ``stats`` holds the :class:`BuildStats` of the build (None for an index
+    wrapped by :meth:`from_entries`).
+    """
 
     def __init__(self, out_adj: Adjacency, in_adj: Adjacency, k: int):
         self.k = k
@@ -97,6 +163,7 @@ class SequentialRlcIndex:
         self.l_out = {}
         self.l_in = {}
         self._accepted = set()
+        self.stats = None
         for d, es in ((self.l_out, out_entries), (self.l_in, in_entries)):
             for v, h, m in es:
                 d.setdefault(v, {}).setdefault(m, set()).add(h)
@@ -139,8 +206,86 @@ class SequentialRlcIndex:
             for m, hs in b.items()
         )
 
-    # -- Algorithm 2 -------------------------------------------------------
+    # -- index construction: hop-lifted kernel-based search -----------------
     def _build(self) -> None:
+        """Algorithm 2's kernel-based search, taking each ``L`` hop whole.
+
+        The kernel-search of ``root`` is its row of the exact-path table, and
+        the kernel-BFS of kernel ``L`` steps from a vertex ``x`` straight to
+        ``table[x][L]``: no intermediate automaton states, no label filter.
+        Each ``(vertex, L)`` is attempted at most once per search.
+        """
+        t0 = time.perf_counter()
+        tables = (
+            (path_table(self.in_adj, self.k, backward=True), self.l_out, True),
+            (path_table(self.out_adj, self.k), self.l_in, False),
+        )
+        states = sum(len(ys) for t, _, _ in tables for row in t.values() for ys in row.values())
+        t1 = time.perf_counter()
+        aid = self.aid
+        query = self.query  # PR1 is a call to the public API
+        # MR of every table sequence: at most |labels|^k distinct keys.
+        mrs: dict[Seq, Seq] = {}
+        attempts = pr2 = pr1 = recorded = 0
+        for root in sorted(aid, key=aid.get):
+            rank = aid[root]
+            for table, side, backward in tables:
+                # Kernel-search: every sequence is an exact power of its MR,
+                # so the vertices it reaches seed the kernel-BFS of that MR.
+                seeds: dict[Seq, set[int]] = {}
+                for seq, ys in table.get(root, _NO_BUCKETS).items():
+                    L = mrs.get(seq)
+                    if L is None:
+                        L = mrs[seq] = mr(seq)
+                    seeds.setdefault(L, set()).update(ys)
+                for L, seen in seeds.items():
+                    batch = list(seen)
+                    seeding = True
+                    while batch:
+                        kept = []
+                        for y in batch:
+                            if aid[y] < rank:  # PR2
+                                pr2 += 1
+                            elif query(y, root, L) if backward else query(root, y, L):
+                                pr1 += 1  # PR1 (also dedups identical entries)
+                            else:
+                                side.setdefault(y, {}).setdefault(L, set()).add(root)
+                                kept.append(y)
+                        recorded += len(kept)
+                        # Seeds expand even when pruned; a later vertex only
+                        # when recorded (PR3). PR2 is static and PR1 only
+                        # grows, so a pruned vertex stays pruned: it is seen.
+                        frontier, seeding = (batch if seeding else kept), False
+                        batch = []
+                        for x in frontier:
+                            for y in table.get(x, _NO_BUCKETS).get(L, ()):
+                                if y not in seen:
+                                    seen.add(y)
+                                    batch.append(y)
+                    attempts += len(seen)
+        t2 = time.perf_counter()
+        self.stats = BuildStats(
+            attempts=attempts,
+            pr2_pruned=pr2,
+            probes=attempts - pr2,
+            pr1_pruned=pr1,
+            recorded=recorded,
+            table_states=states,
+            table_s=t1 - t0,
+            search_s=t2 - t1,
+        )
+
+
+class Algorithm2Index(SequentialRlcIndex):
+    """The paper's Algorithm 2 verbatim: a kernel-search over ``(vertex,
+    seq)`` states, then a kernel-BFS that walks each kernel's label state
+    machine one edge at a time and re-probes a completion every time it is
+    reached. Table II's artifact and the entry-for-entry oracle of
+    :class:`SequentialRlcIndex`'s search; ``stats`` has no path table."""
+
+    def _build(self) -> None:
+        t0 = time.perf_counter()
+        self._tally = Counter()
         order = sorted(self.aid, key=self.aid.get)
         # MR of every search sequence seen in this build: at most |labels|^k
         # distinct keys, against one KMP pass per new (vertex, seq) state.
@@ -148,18 +293,34 @@ class SequentialRlcIndex:
         for v in order:
             self._kbs(v, backward=True, mrs=mrs)
             self._kbs(v, backward=False, mrs=mrs)
+        n = self._tally
+        self.stats = BuildStats(
+            attempts=n["attempt"],
+            pr2_pruned=n["pr2"],
+            probes=n["probe"],
+            pr1_pruned=n["pr1"],
+            recorded=n["recorded"],
+            table_states=0,
+            table_s=0.0,
+            search_s=time.perf_counter() - t0,
+        )
 
     def _insert(self, visited: int, root: int, L: Seq, backward: bool) -> bool:
         """Paper's ``insert``: PR2 then PR1, else record. Returns True iff
         the entry was recorded (False means a pruning rule fired)."""
+        self._tally["attempt"] += 1
         if self.aid[root] > self.aid[visited]:  # PR2
+            self._tally["pr2"] += 1
             return False
         s, t = (visited, root) if backward else (root, visited)
+        self._tally["probe"] += 1
         if self.query(s, t, L):  # PR1 (also dedups identical entries)
+            self._tally["pr1"] += 1
             return False
         # (root, L) into L_out(visited) for backward search, else L_in(visited)
         side = self.l_out if backward else self.l_in
         side.setdefault(visited, {}).setdefault(L, set()).add(root)
+        self._tally["recorded"] += 1
         return True
 
     def _kbs(self, root: int, backward: bool, mrs: dict[Seq, Seq]) -> None:

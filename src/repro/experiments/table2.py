@@ -1,12 +1,14 @@
 """Table II reproduction: the RLC index contents for the Fig. 2 graph (k=2).
 
-The sequential Algorithm 2 reproduces the paper's table *verbatim* (26
-entries). No Spark session is needed: the index is built on the driver.
+The paper's Algorithm 2 (:class:`repro.core.sequential.Algorithm2Index`,
+the kernel-BFS state machine verbatim) reproduces the paper's table
+*verbatim* (26 entries). No Spark session is needed: the index is built on
+the driver.
 """
 from __future__ import annotations
 
 from repro.core.labels import encode
-from repro.core.sequential import SequentialRlcIndex
+from repro.core.sequential import Algorithm2Index
 from repro.graphs.generators import FIG2_EDGES
 
 #: Paper Table II entry count (sum over all L_in/L_out cells).
@@ -24,7 +26,7 @@ def fig2_adjacency():
 
 def run() -> dict:
     out_adj, in_adj = fig2_adjacency()
-    seq = SequentialRlcIndex(out_adj, in_adj, 2)
+    seq = Algorithm2Index(out_adj, in_adj, 2)
     lo, li = seq.entries()
     return {
         "sequential_entries": seq.entry_count(),

@@ -2,9 +2,12 @@
 
 Two builders per graph analog:
 
-- **RLC** — the paper's Algorithm 2 verbatim
-  (:class:`repro.core.sequential.SequentialRlcIndex`; the paper's own
-  implementation is single-threaded, so this is the faithful IT/IS subject);
+- **RLC** — the paper's Algorithm 2 with each ``L`` hop of its kernel-BFS
+  taken whole (:class:`repro.core.sequential.SequentialRlcIndex`; the same
+  entries as the paper's search, and single-threaded like the paper's own
+  implementation, so it is the IT/IS subject). Its
+  :class:`repro.core.sequential.BuildStats` (insert attempts, PR1/PR2
+  prunes, path-table size, per-phase time) are kept per row;
 - **ETC** — the distributed concise transitive closure under a
   :class:`repro.core.closure.Budget`; "-" marks budget exhaustion, the
   analogue of the paper's 24-hour timeout (ETC finished only on AD there).
@@ -67,6 +70,7 @@ def run(
         row["rlc_seq_it"] = time.monotonic() - t0
         row["rlc_seq_entries"] = seq.entry_count()
         row["rlc_seq_mb"] = seq.size_bytes() / 1e6
+        row["rlc_stats"] = seq.stats
 
         t0 = time.monotonic()
         try:
@@ -101,5 +105,23 @@ def format_table(rows: list[dict]) -> str:
             f"{r['name']:<6} | {r['rlc_seq_it']:>10.1f} {r['rlc_seq_mb']:>11.2f}"
             f" {r['rlc_seq_entries']:>9} | {etc_it:>10} {etc_mb:>11}"
             f" | {p_rlc_it:>14.1f}/{p_rlc_is:>7.1f} | {p_etc}"
+        )
+    return "\n".join(lines)
+
+
+def format_stats(rows: list[dict]) -> str:
+    """The RLC builds' :class:`~repro.core.sequential.BuildStats`."""
+    lines = [
+        "RLC build stats — insert attempts, PR2/PR1 prunes, recorded entries,"
+        " path-table size and per-phase seconds",
+        f"{'graph':<6} | {'attempts':>10} {'PR2':>10} {'probes':>10} {'PR1':>10}"
+        f" {'recorded':>9} | {'table':>9} {'table s':>8} {'search s':>9}",
+    ]
+    for r in rows:
+        st = r["rlc_stats"]
+        lines.append(
+            f"{r['name']:<6} | {st.attempts:>10} {st.pr2_pruned:>10} {st.probes:>10}"
+            f" {st.pr1_pruned:>10} {st.recorded:>9} | {st.table_states:>9}"
+            f" {st.table_s:>8.2f} {st.search_s:>9.2f}"
         )
     return "\n".join(lines)

@@ -19,14 +19,10 @@ from repro.core.closure import (
 from repro.core.graph import LabeledGraph
 from repro.core.labels import encode, is_primitive
 from repro.core.querygen import queries_to_df
-from repro.core.sequential import Adjacency, brute_force_closure
+from repro.core.sequential import Adjacency, brute_force_closure, path_table
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from repro.oracle import assert_equivalent
-from tests.util import adjacency_edges, seeded_graph
-
-#: Labels that break string-joined MRs (",") or SQL quoting ("it's"), plus
-#: non-ASCII and the empty label.
-HOSTILE_LABELS = ["a", "b", ",", "it's", "é", ""]
+from tests.util import HOSTILE_LABELS, adjacency_edges, seeded_graph
 
 #: Edge lists checked at k=3: Fig. 2 and two random graphs with 3 and 2 labels.
 K3_GRAPHS = {
@@ -112,12 +108,26 @@ def test_mr_hops_plans_no_python_udf(spark, fig2):
     assert "EvalPython" not in plan
 
 
+def builder_hops(out_adj: Adjacency, k: int) -> set[tuple[str, int, int]]:
+    """The primitive part of the RLC builder's exact-path table."""
+    return {
+        (encode(seq), x, y)
+        for x, row in path_table(out_adj, k).items()
+        for seq, ys in row.items()
+        if is_primitive(seq)
+        for y in ys
+    }
+
+
 @pytest.mark.parametrize("graph", K3_GRAPHS)
 def test_mr_hops_matches_driver_reference(spark, graph):
+    """One hop relation: ETC's ``mr_hops`` equals both the independent
+    driver enumeration and the primitive part of the RLC builder's table."""
     edges = K3_GRAPHS[graph]
     g = LabeledGraph.from_edge_list(spark, edges)
     got = {(r.mr, r.src, r.dst) for r in mr_hops(g, 3).collect()}
     assert got == driver_hops(out_adjacency(edges), 3)
+    assert got == builder_hops(out_adjacency(edges), 3)
 
 
 def test_closure_matches_brute_force_fig2(spark, fig2, fig2_closure):

@@ -28,8 +28,10 @@ def test_table4_run_tiny(spark):
     )
     (row,) = rows
     assert row["rlc_seq_entries"] > 0
+    assert row["rlc_stats"].recorded == row["rlc_seq_entries"]
     assert row["etc_it"] is not None and row["etc_entries"] > row["rlc_seq_entries"]
     assert "Table IV" in table4.format_table(rows)
+    assert f" {row['rlc_seq_entries']} " in table4.format_stats(rows)
 
 
 def test_table4_etc_budget_exhaustion(spark):

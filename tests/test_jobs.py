@@ -28,7 +28,7 @@ def test_table4_job(spark):
     out = load_job("table4_indexing").main(
         ["--datasets", "AD", "--scale", "0.15", "--etc-budget-rows", "10"]
     )
-    assert "Table IV" in out
+    assert "Table IV" in out and "RLC build stats" in out
 
 
 def test_table5_job(spark):

@@ -1,25 +1,33 @@
-"""Tests for the faithful sequential Algorithm 1+2 implementation.
+"""Tests for the driver RLC index: Algorithm 1 and the hop-lifted Algorithm 2.
 
 The strongest check here is the exact reproduction of the paper's Table II
 (the full RLC index contents for the Fig. 2 graph with k=2), followed by
 fuzzing against the brute-force concise closure: sound + complete (Theorem 3)
-and condensed (Theorem 2) on seeded random graphs.
+and condensed (Theorem 2) on seeded random graphs. The hop-lifted builder
+(:class:`SequentialRlcIndex`) must record the same entries as the paper's
+Algorithm 2 verbatim (:class:`Algorithm2Index`).
 """
+import random
+
 import pytest
 
 from repro.core.labels import all_mrs
 from repro.core.sequential import (
+    Algorithm2Index,
     SequentialRlcIndex,
     brute_force_closure,
     inout_order,
+    path_table,
 )
 from repro.graphs.generators import FIG2_EDGES
 from tests.util import (
+    HOSTILE_LABELS,
     MergeJoinIndex,
     ProbeCountingIndex,
     assert_matches_merge_join,
     condensed_violations,
     query_universe,
+    rand_adjacency,
     seeded_graph,
 )
 
@@ -219,6 +227,7 @@ def test_merge_join_oracle_on_random_graphs(seed):
     out_adj, in_adj, labels, k = seeded_graph(seed)
     idx = ProbeCountingIndex(out_adj, in_adj, k)
     assert MergeJoinIndex(out_adj, in_adj, k).entries() == idx.entries()
+    assert Algorithm2Index(out_adj, in_adj, k).entries() == idx.entries()
     assert idx.probes - idx.pruned == idx.entry_count()
     assert_matches_merge_join(idx, query_universe(len(out_adj), all_mrs(labels, k)))
 
@@ -228,3 +237,82 @@ def test_pr1_probe_accounting_fig2():
     # entry or precedes its insert.
     idx = ProbeCountingIndex(*fig2_adjacency(), k=2)
     assert (idx.probes, idx.pruned, idx.entry_count()) == (51, 25, 26)
+
+
+# ---- the hop-lifted search against Algorithm 2 -----------------------------
+
+def test_algorithm2_oracle_on_fig2(fig2_index):
+    alg2 = Algorithm2Index(*fig2_adjacency(), k=2)
+    assert alg2.entries() == fig2_index.entries()
+    assert alg2.entry_count() == 26
+
+
+def assert_stats_invariants(idx) -> None:
+    st = idx.stats
+    assert st.probes == st.pr1_pruned + st.recorded
+    assert st.attempts == st.pr2_pruned + st.pr1_pruned + st.recorded
+    assert st.recorded == idx.entry_count()
+    assert st.table_s >= 0 and st.search_s >= 0
+
+
+@pytest.mark.parametrize("seed", [pytest.param(None, id="fig2"), *range(10)])
+def test_build_stats_invariants(seed):
+    if seed is None:
+        (out_adj, in_adj), k = fig2_adjacency(), 2
+    else:
+        out_adj, in_adj, _, k = seeded_graph(seed)
+    idx = ProbeCountingIndex(out_adj, in_adj, k)
+    assert_stats_invariants(idx)
+    # Counted apart from the public query() calls they stand for.
+    assert (idx.stats.probes, idx.stats.pr1_pruned) == (idx.probes, idx.pruned)
+    assert idx.stats.table_states == sum(
+        len(ys)
+        for table in (path_table(out_adj, k), path_table(in_adj, k, backward=True))
+        for row in table.values()
+        for ys in row.values()
+    )
+    alg2 = Algorithm2Index(out_adj, in_adj, k)
+    assert_stats_invariants(alg2)
+    # Algorithm 2 re-probes completions the hop-lifted search marks as seen.
+    assert alg2.stats.probes >= idx.stats.probes
+    if seed is None:
+        assert (idx.stats.probes, idx.stats.pr1_pruned, idx.stats.recorded) == (51, 25, 26)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_path_table_directions_mirror(seed):
+    # table_in[x][seq] lists the y with y -seq-> x: the forward table turned around.
+    out_adj, in_adj, _, k = seeded_graph(seed)
+    fwd = {(x, seq, y) for x, row in path_table(out_adj, k).items() for seq, ys in row.items() for y in ys}
+    bwd = {(y, seq, x) for x, row in path_table(in_adj, k, backward=True).items() for seq, ys in row.items() for y in ys}
+    assert fwd == bwd
+    assert all(1 <= len(seq) <= k for _, seq, _ in fwd)
+
+
+#: Unusual but legal graphs: (vertices, edges, labels, self loops, k).
+UNUSUAL = {
+    "self_loops": (8, 8, ["a", "b"], 12, 3),
+    "only_self_loops": (5, 0, ["a", "b"], 10, 2),
+    "isolated": (14, 5, ["a", "b"], 1, 3),  # half the vertices have no edge
+    "k1": (15, 40, ["a", "b", "c"], 3, 1),
+    "hostile_labels_k2": (10, 30, HOSTILE_LABELS, 2, 2),
+    "hostile_labels_k3": (8, 24, HOSTILE_LABELS, 2, 3),
+    "empty_label_only": (9, 18, [""], 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", UNUSUAL)
+def test_unusual_input_both_builders(case):
+    """Both builders answer every query as the brute-force closure does, and
+    record the same entries, on unusual but legal graphs."""
+    n, m, labels, loops, k = UNUSUAL[case]
+    out_adj, in_adj = rand_adjacency(random.Random(case), n, m, labels, loops)
+    fast = SequentialRlcIndex(out_adj, in_adj, k)
+    alg2 = Algorithm2Index(out_adj, in_adj, k)
+    assert fast.entries() == alg2.entries()
+    assert condensed_violations(fast) == []
+    closure = brute_force_closure(out_adj, k)
+    for s, t, L in query_universe(len(out_adj), all_mrs(labels, k)):
+        want = (s, t, L) in closure
+        assert fast.query(s, t, L) is want, (s, t, L)
+        assert alg2.query(s, t, L) is want, (s, t, L)

@@ -13,6 +13,10 @@ from repro.core.index import ENTRY_SCHEMA, RlcIndex
 from repro.core.labels import Seq, encode, is_primitive
 from repro.core.sequential import Adjacency, SequentialRlcIndex
 
+#: Labels that break string-joined MRs (",") or SQL quoting ("it's"), plus
+#: non-ASCII and the empty label.
+HOSTILE_LABELS = ["a", "b", ",", "it's", "é", ""]
+
 
 def load_file(path: pathlib.Path) -> ModuleType:
     """Import a script (a job or a benchmark) by path, outside any package."""
@@ -132,7 +136,7 @@ def merge_join_query(
 
 
 class MergeJoinIndex(SequentialRlcIndex):
-    """Algorithm 2 whose PR1 probe (the public ``query``) is
+    """The builder whose PR1 probe (the public ``query``) is
     :func:`merge_join_query` over the entries recorded so far."""
 
     def query(self, s: int, t: int, constraint: Iterable[str]) -> bool:
@@ -162,8 +166,8 @@ def assert_matches_merge_join(
 
 
 class ProbeCountingIndex(SequentialRlcIndex):
-    """Counts calls to the public ``query``; during the build these are
-    Algorithm 2's PR1 probes, and a True answer is a PR1 prune."""
+    """Counts calls to the public ``query``; during the build these are the
+    PR1 probes, and a True answer is a PR1 prune."""
 
     def __init__(self, out_adj: Adjacency, in_adj: Adjacency, k: int):
         self.probes = self.pruned = 0
