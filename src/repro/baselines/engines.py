@@ -4,9 +4,9 @@ The paper compares the RLC index against three engines that can evaluate RLC
 queries (two anonymized commercial systems and Virtuoso). Those binaries are
 unavailable offline, so we implement one engine per architecture class:
 
-- :class:`SparkSqlEngine` ("Sys1") — each query compiled to iterative
-  DataFrame joins and executed by Spark, i.e. a distributed dataflow engine
-  paying scheduler/shuffle overhead per query;
+- :class:`SparkSqlEngine` ("Sys1") — each query's NFA run as iterative
+  DataFrame joins by :func:`repro.baselines.online.batch_nfa_bfs`, i.e. a
+  distributed dataflow engine paying scheduler/shuffle overhead per query;
 - :class:`PythonTraversalEngine` ("Sys2") — interpreted tuple-at-a-time
   automaton-guided traversal (the classic single-threaded graph-engine
   evaluation loop), i.e. :func:`repro.baselines.online.nfa_bfs`;
@@ -17,19 +17,18 @@ unavailable offline, so we implement one engine per architecture class:
 
 All engines share one interface: ``evaluate(s, t, spec) -> bool`` where
 ``spec`` is either ``("plus", L)`` for ``L+`` or ``("concat_plus", a, b)``
-for the extended query ``a+ . b+`` (Q4). :func:`rlc_eval` evaluates the same
-specs with the RLC index — Q4 via the paper's §VI-C strategy of combining an
-index lookup with an online traversal.
+for the extended query ``a+ . b+`` (Q4). Sys1 and Sys2 traverse the same
+graph × query-NFA product (:func:`spec_nfa`). :func:`rlc_eval` evaluates the
+same specs with the RLC index — Q4 via the paper's §VI-C strategy of
+combining an index lookup with an online traversal.
 """
 from __future__ import annotations
 
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
 
 from repro.baselines.online import Nfa, batch_nfa_bfs, nfa_bfs
 from repro.core.graph import LabeledGraph
-from repro.core.labels import encode
 from repro.core.sequential import Adjacency, SequentialRlcIndex
 
 QuerySpec = tuple  # ("plus", L) | ("concat_plus", a, b)
@@ -91,6 +90,13 @@ class DuckDbEngine:
         return len(self.con.execute(sql, params).fetchall()) > 0
 
 
+def spec_nfa(spec: QuerySpec) -> Nfa:
+    """The query NFA of a spec: ``L+`` or ``a+ . b+``."""
+    if spec[0] == "plus":
+        return Nfa.kleene_plus(spec[1])
+    return Nfa.concat_plus(spec[1], spec[2])
+
+
 class PythonTraversalEngine:
     """Single-threaded automaton-guided traversal (tuple-at-a-time)."""
 
@@ -98,56 +104,20 @@ class PythonTraversalEngine:
         self.out_adj = out_adj
 
     def evaluate(self, s: int, t: int, spec: QuerySpec) -> bool:
-        nfa = (
-            Nfa.kleene_plus(spec[1])
-            if spec[0] == "plus"
-            else Nfa.concat_plus(spec[1], spec[2])
-        )
-        return nfa_bfs(self.out_adj, s, t, nfa)
+        return nfa_bfs(self.out_adj, s, t, spec_nfa(spec))
 
 
 class SparkSqlEngine:
     """Per-query iterative-join evaluation on Spark (distributed engine with
-    per-query planning/scheduling overhead, like the paper's Sys1)."""
+    per-query planning/scheduling overhead, like the paper's Sys1): every
+    spec, ``L+`` and ``a+ . b+`` alike, is one :func:`batch_nfa_bfs` run
+    over its query NFA."""
 
     def __init__(self, graph: LabeledGraph):
         self.graph = graph
-        self.spark = graph.edges.sparkSession
 
     def evaluate(self, s: int, t: int, spec: QuerySpec) -> bool:
-        if spec[0] == "plus":
-            q = self.spark.createDataFrame(
-                [(0, s, t, encode(spec[1]))], "qid long, src long, dst long, mr string"
-            )
-            return batch_nfa_bfs(self.graph, q).collect()[0].answer
-        # a+ . b+ : reach_a from s, then reach_b from there, iterative joins.
-        _, a, b = spec
-        e = self.graph.edges
-        ea = e.where(F.col("label") == a).select(F.col("src").alias("u"), F.col("dst").alias("v"))
-        eb = e.where(F.col("label") == b).select(F.col("src").alias("u"), F.col("dst").alias("v"))
-
-        def closure_from(seed: DataFrame, hop: DataFrame) -> DataFrame:
-            reach = seed.distinct().localCheckpoint()
-            frontier = reach
-            while True:
-                nxt = (
-                    frontier.join(hop, F.col("x") == F.col("u"))
-                    .select(F.col("v").alias("x"))
-                    .distinct()
-                    .join(reach, "x", "left_anti")
-                    .localCheckpoint()
-                )
-                if nxt.isEmpty():
-                    return reach
-                reach = reach.unionByName(nxt).localCheckpoint()
-                frontier = nxt
-
-        ra = closure_from(ea.where(F.col("u") == s).select(F.col("v").alias("x")), ea)
-        rb_seed = (
-            ra.join(eb, F.col("x") == F.col("u")).select(F.col("v").alias("x")).distinct()
-        )
-        rb = closure_from(rb_seed, eb)
-        return not rb.where(F.col("x") == t).isEmpty()
+        return batch_nfa_bfs(self.graph, [(s, t, spec_nfa(spec))]).collect()[0].answer
 
 
 def rlc_eval(

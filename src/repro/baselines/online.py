@@ -13,20 +13,26 @@ Three implementations:
 - :func:`bibfs` — bidirectional BFS specialized to ``L+`` (the paper's
   strongest online baseline); frontiers meet when forward progress ``i`` and
   backward progress ``j`` align (``(i + j) mod m == 0``) at the same vertex;
-- :func:`batch_nfa_bfs` — the BFS baseline as distributed dataflow: one
-  frontier DataFrame carrying every query in the workload at once.
+- :func:`batch_nfa_bfs` — the same product-state BFS as distributed
+  dataflow: one transition table built from every query's NFA and one
+  frontier DataFrame carrying every query in the workload at once, so
+  ``L+`` and ``a+ . b+`` share one Spark loop.
 """
 from __future__ import annotations
 
+import logging
+import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core.closure import Budget
 from repro.core.graph import LabeledGraph
 from repro.core.sequential import Adjacency
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -128,64 +134,81 @@ def bibfs(out_adj: Adjacency, in_adj: Adjacency, s: int, t: int, L: Sequence[str
 
 
 def batch_nfa_bfs(
-    graph: LabeledGraph, queries: DataFrame, budget: Budget | None = None
+    graph: LabeledGraph,
+    queries: Sequence[tuple[int, int, Nfa]],
+    budget: Budget | None = None,
 ) -> DataFrame:
-    """Distributed NFA-guided BFS for a whole workload of ``L+`` queries.
+    """Distributed product-state BFS for a whole workload of NFA queries.
 
-    ``queries``: ``(qid, src, dst, mr)``. One frontier DataFrame carries all
-    queries: rows ``(qid, vertex, pos)`` where ``pos`` = labels consumed mod
-    ``m``; each iteration joins the frontier with the (label-partitioned)
-    edge table on the next expected label. Returns ``(qid, answer)``.
+    ``queries``: ``(src, dst, nfa)`` triples; a query's ``qid`` is its
+    position. Every transition of every NFA becomes one row of a transition
+    table ``(qid, state, label, next, accept, target)``. One frontier
+    DataFrame ``(qid, vertex, state)`` carries all queries; each iteration
+    joins it with the transition table on ``(qid, state)`` and with the
+    label-partitioned edge table on ``(vertex, label)``. A query is answered
+    when a step lands on its target in an accepting state (>= 1 edge, as in
+    :func:`nfa_bfs`), and answered queries stop exploring. Logs
+    ``(iteration, new_states, seconds)`` for every iteration, the last
+    (empty) one included, to this module's logger at INFO level. Returns
+    ``(qid, answer)``.
     """
     budget = (budget or Budget(max_iterations=10_000)).start()
     spark = graph.edges.sparkSession
-    e = graph.edges.select(F.col("src").alias("_at"), "label", F.col("dst").alias("_to"))
-    q = queries.select(
-        "qid",
-        F.col("dst").alias("_target"),
-        F.split("mr", ",").alias("_labels"),
-        F.size(F.split("mr", ",")).alias("_m"),
+    e = graph.edges.select(F.col("src").alias("vertex"), "label", F.col("dst").alias("_to"))
+    trans = spark.createDataFrame(
+        [
+            (qid, q, label, q2, q2 in nfa.accept, t)
+            for qid, (_, t, nfa) in enumerate(queries)
+            for (q, label), nxt in nfa.trans.items()
+            for q2 in nxt
+        ],
+        "qid long, state int, label string, next int, accept boolean, target long",
     ).localCheckpoint()
-    frontier = (
-        queries.select("qid", F.col("src").alias("vertex"), F.lit(0).alias("pos"))
-        .distinct()
-        .localCheckpoint()
-    )
+    frontier = spark.createDataFrame(
+        [(qid, s, nfa.start) for qid, (s, _, nfa) in enumerate(queries)],
+        "qid long, vertex long, state int",
+    ).localCheckpoint()
     visited = frontier
+    seen = len(queries)
     answered = spark.createDataFrame([], "qid long").localCheckpoint()
     it = 0
     while True:
         it += 1
+        t0 = time.perf_counter()
         stepped = (
-            frontier.join(q, "qid")
-            .join(
-                e,
-                (F.col("vertex") == F.col("_at"))
-                & (F.col("label") == F.element_at("_labels", F.col("pos") + 1)),
-            )
+            frontier.join(trans, ["qid", "state"])
+            .join(e, ["vertex", "label"])
             .select(
                 "qid",
                 F.col("_to").alias("vertex"),
-                ((F.col("pos") + 1) % F.col("_m")).alias("pos"),
-                (
-                    (F.col("_to") == F.col("_target"))
-                    & (((F.col("pos") + 1) % F.col("_m")) == 0)
-                ).alias("_hit"),
+                F.col("next").alias("state"),
+                (F.col("accept") & (F.col("_to") == F.col("target"))).alias("_hit"),
             )
             .distinct()
         )
         hits = stepped.where("_hit").select("qid").distinct()
         answered = answered.unionByName(hits).distinct().localCheckpoint()
         frontier = (
-            stepped.select("qid", "vertex", "pos")
-            .join(visited, ["qid", "vertex", "pos"], "left_anti")
+            stepped.select("qid", "vertex", "state")
+            .join(visited, ["qid", "vertex", "state"], "left_anti")
             .join(answered, "qid", "left_anti")  # stop exploring answered queries
             .localCheckpoint()
         )
-        if frontier.isEmpty():
+        new = 0
+        if not frontier.isEmpty():
+            visited = visited.unionByName(frontier).localCheckpoint()
+            total = visited.count()
+            new, seen = total - seen, total
+        logger.info(
+            "batch_nfa_bfs iteration %d: %d new states, %.3f s",
+            it, new, time.perf_counter() - t0,
+        )
+        if not new:
             break
-        visited = visited.unionByName(frontier).localCheckpoint()
-        budget.check(visited.count(), it, "batch_nfa_bfs")
-    return queries.select("qid").join(
-        answered.withColumn("answer", F.lit(True)), "qid", "left"
-    ).fillna(False, subset=["answer"])
+        budget.check(seen, it, "batch_nfa_bfs")
+    return (
+        spark.range(len(queries))
+        .select(F.col("id").alias("qid"))
+        .join(answered.withColumn("answer", F.lit(True)), "qid", "left")
+        .fillna(False, subset=["answer"])
+    )

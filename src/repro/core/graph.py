@@ -17,8 +17,8 @@ EDGE_COLUMNS = ("src", "label", "dst")
 
 
 class LabeledGraph:
-    """Wrapper holding the deduplicated, cached edge DataFrame plus derived
-    vertex/degree/rank tables (computed lazily, cached)."""
+    """Wrapper holding the deduplicated, cached edge DataFrame plus the
+    derived vertex table (computed lazily, cached)."""
 
     def __init__(self, edges: DataFrame):
         missing = set(EDGE_COLUMNS) - set(edges.columns)
@@ -35,8 +35,6 @@ class LabeledGraph:
             .persist(StorageLevel.MEMORY_AND_DISK)
         )
         self._vertices: DataFrame | None = None
-        self._degrees: DataFrame | None = None
-        self._rank: DataFrame | None = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -72,42 +70,6 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return self.edges.count()
 
-    # -- degree / ordering -------------------------------------------------
-    def degrees(self) -> DataFrame:
-        """``(id, in_deg, out_deg)`` — labeled-edge degrees (parallel labels count)."""
-        if self._degrees is None:
-            out_deg = self.edges.groupBy(F.col("src").alias("id")).agg(
-                F.count("*").alias("out_deg")
-            )
-            in_deg = self.edges.groupBy(F.col("dst").alias("id")).agg(
-                F.count("*").alias("in_deg")
-            )
-            self._degrees = (
-                self.vertices()
-                .join(out_deg, "id", "left")
-                .join(in_deg, "id", "left")
-                .fillna(0, subset=["in_deg", "out_deg"])
-                .persist(StorageLevel.MEMORY_AND_DISK)
-            )
-        return self._degrees
-
-    def inout_rank(self) -> DataFrame:
-        """IN-OUT access order of §V-B: ``(id, aid)`` with ``aid`` starting at 1
-        for the vertex maximizing ``(out_deg + 1) * (in_deg + 1)`` (ties broken
-        by ascending vertex id, matching the paper's ``(v1,v3,v2,v4,v5,v6)``
-        order for Fig. 2 including the v4/v5 tie)."""
-        if self._rank is None:
-            from pyspark.sql.window import Window
-
-            score = (F.col("out_deg") + 1) * (F.col("in_deg") + 1)
-            w = Window.orderBy(score.desc(), F.col("id").asc())
-            self._rank = (
-                self.degrees()
-                .select("id", F.row_number().over(w).alias("aid"))
-                .persist(StorageLevel.MEMORY_AND_DISK)
-            )
-        return self._rank
-
     # -- driver-side views -------------------------------------------------
     def to_pandas_edges(self) -> pd.DataFrame:
         return self.edges.toPandas()
@@ -125,6 +87,6 @@ class LabeledGraph:
         return out_adj, in_adj
 
     def unpersist(self) -> None:
-        for df in (self.edges, self._vertices, self._degrees, self._rank):
+        for df in (self.edges, self._vertices):
             if df is not None:
                 df.unpersist()

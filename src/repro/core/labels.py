@@ -25,7 +25,13 @@ SEP = ","
 
 
 def encode(seq: Sequence[str]) -> str:
-    """Flatten a label sequence to a single delimited string (Spark-friendly)."""
+    """Flatten a label sequence to a single delimited string (Spark-friendly).
+
+    Raises ValueError for a label containing :data:`SEP`, whose string would
+    merge with that of a different sequence (``("a,b",)`` vs ``("a", "b")``).
+    """
+    if any(SEP in label for label in seq):
+        raise ValueError(f"label contains the MR delimiter {SEP!r}: {tuple(seq)!r}")
     return SEP.join(seq)
 
 

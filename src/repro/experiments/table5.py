@@ -56,11 +56,11 @@ def _gen_q4(out_adj, in_adj, labels, n_true, n_false, seed):
     return trues + falses
 
 
-def _mean_time(fn: Callable[[tuple], bool], specs: list[tuple]) -> float:
+def _mean_time(fn: Callable[[tuple], bool], specs: list[tuple]) -> tuple[float, list[bool]]:
+    """Mean seconds per query, and the answers in query order."""
     t0 = time.perf_counter()
-    for sp in specs:
-        fn(sp)
-    return (time.perf_counter() - t0) / max(1, len(specs))
+    answers = [fn(sp) for sp in specs]
+    return (time.perf_counter() - t0) / max(1, len(specs)), answers
 
 
 def run(
@@ -107,13 +107,17 @@ def run(
         "index_entries": index.entry_count(),
         "per_query": {},  # (engine, qtype) -> seconds
         "su_bep": {},     # (engine, qtype) -> (SU, BEP)
+        "disagreements": [],  # (engine, qtype, query) answered unlike RLC
     }
     for qtype, qs in workloads.items():
-        rlc_t = _mean_time(lambda q: rlc_eval(index, out_adj, q[0], q[1], q[2]), qs)
+        rlc_t, want = _mean_time(lambda q: rlc_eval(index, out_adj, q[0], q[1], q[2]), qs)
         result["per_query"][("RLC", qtype)] = rlc_t
         for name, eng in engines.items():
             sub = qs[: spark_engine_queries] if name == "Sys1" else qs
-            eng_t = _mean_time(lambda q: eng.evaluate(q[0], q[1], q[2]), sub)
+            eng_t, got = _mean_time(lambda q: eng.evaluate(q[0], q[1], q[2]), sub)
+            result["disagreements"] += [
+                (name, qtype, q) for q, a, w in zip(sub, got, want) if a != w
+            ]
             result["per_query"][(name, qtype)] = eng_t
             su = eng_t / rlc_t if rlc_t > 0 else math.inf
             bep = index_it / (eng_t - rlc_t) if eng_t > rlc_t else math.inf
@@ -136,13 +140,16 @@ def format_table(result: dict) -> str:
         cells = []
         for q in ("Q1", "Q2", "Q3", "Q4"):
             su, bep = result["su_bep"][(name, q)]
-            bep_s = f"{bep:.0f}" if math.isfinite(bep) else "inf"
+            bep_s = "inf" if math.isinf(bep) else "<1" if bep < 1 else f"{bep:.0f}"
             cells.append(f"{q}: {su:>9.0f}x {bep_s:>8}")
         paper = ", ".join(
             (f"{PAPER_TABLE5[name][q][0]}x" if PAPER_TABLE5[name][q][0] else "-")
             for q in ("Q1", "Q2", "Q3", "Q4")
         )
         lines.append(f"{name:<10} | " + " | ".join(cells) + f" | {paper}")
+    lines.append(
+        f"answers: {len(result['disagreements'])} engine answers differ from the RLC index"
+    )
     lines.append(
         "per-query times (s): "
         + "; ".join(

@@ -8,9 +8,11 @@ from repro.baselines.engines import (
     SparkSqlEngine,
     rlc_eval,
 )
+from repro.core.graph import LabeledGraph
 from repro.core.labels import all_mrs
 from repro.core.sequential import SequentialRlcIndex, brute_force_closure
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
+from tests.test_batch_bfs import COMMA_EDGES, COMMA_QUERIES
 from tests.test_online import brute_concat_plus
 from tests.util import query_universe
 
@@ -129,3 +131,15 @@ def test_spark_sql_engine_q4(spark, fig2_driver):
     eng = SparkSqlEngine(fig2_graph(spark))
     want = brute_concat_plus(fig2_driver[0], 3, 1, "l2", "l1")
     assert eng.evaluate(3, 1, ("concat_plus", "l2", "l1")) == want
+
+
+def test_engines_label_with_comma(spark):
+    """A label containing ``,`` is one label to Sys1 and Sys2 alike."""
+    sys1 = SparkSqlEngine(LabeledGraph.from_edge_list(spark, COMMA_EDGES))
+    out_adj = {v: [] for v in range(3)}
+    for s, l, t in COMMA_EDGES:
+        out_adj[s].append((l, t))
+    sys2 = PythonTraversalEngine(out_adj)
+    for (s, t, L), want in COMMA_QUERIES:
+        assert sys1.evaluate(s, t, ("plus", L)) is want, (s, t, L)
+        assert sys2.evaluate(s, t, ("plus", L)) is want, (s, t, L)

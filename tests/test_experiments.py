@@ -46,9 +46,25 @@ def test_table5_run_tiny(spark):
         spark, scale=0.06, k=3, n_queries=6, spark_engine_queries=1, seed=1
     )
     assert result["index_entries"] > 0
+    assert result["disagreements"] == []
     for qtype in ("Q1", "Q2", "Q3", "Q4"):
         assert result["per_query"][("RLC", qtype)] > 0
         for eng in ("Sys1", "Sys2", "Virtuoso"):
             su, bep = result["su_bep"][(eng, qtype)]
             assert su > 0 and (bep > 0 or math.isinf(bep))
     assert "Table V" in table5.format_table(result)
+
+
+def test_table5_format_bep_below_one():
+    """A break-even point under one query prints as ``<1``, not ``0``."""
+    bep = {"Q1": 0.4, "Q2": 1.6, "Q3": math.inf, "Q4": 250.0}
+    result = {
+        "dataset": "WN", "scale": 0.01, "V": 10, "E": 20, "k": 3,
+        "index_build_s": 0.5, "index_entries": 7,
+        "su_bep": {(e, q): (3.0, b) for e in ("Sys1", "Sys2", "Virtuoso")
+                   for q, b in bep.items()},
+        "per_query": {("RLC", "Q1"): 1e-5}, "disagreements": [],
+    }
+    sys1 = next(l for l in table5.format_table(result).splitlines() if l.startswith("Sys1"))
+    cells = [c.split()[-1] for c in sys1.split(" | ")[1:5]]
+    assert cells == ["<1", "2", "inf", "250"]

@@ -29,27 +29,12 @@ def test_labels(spark):
     assert sorted(g.labels()) == ["a", "b"]
 
 
-def test_degrees(spark):
-    g = LabeledGraph.from_edge_list(
-        spark, [(1, "a", 2), (1, "b", 2), (1, "a", 3), (2, "a", 1)]
-    )
-    d = {r.id: (r.in_deg, r.out_deg) for r in g.degrees().collect()}
-    assert d == {1: (1, 3), 2: (2, 1), 3: (1, 0)}
-
-
-def test_inout_rank_matches_driver_order(spark):
-    triples = [(1, "a", 2), (2, "a", 3), (3, "a", 1), (1, "b", 3), (4, "a", 1)]
-    g = LabeledGraph.from_edge_list(spark, triples)
-    rank = {r.id: r.aid for r in g.inout_rank().collect()}
-    out_adj, in_adj = g.to_adjacency()
-    assert rank == inout_order(out_adj, in_adj)
-
-
-def test_inout_rank_tie_break_by_id(spark):
+def test_inout_rank_tie_break_by_id():
     # 1->2 and 3->4: all four vertices tie on (out+1)*(in+1)=2; ids break ties.
-    g = LabeledGraph.from_edge_list(spark, [(1, "a", 2), (3, "a", 4)])
-    rank = {r.id: r.aid for r in g.inout_rank().collect()}
-    assert sorted(rank, key=rank.get) == [1, 2, 3, 4]
+    out_adj = {1: [("a", 2)], 2: [], 3: [("a", 4)], 4: []}
+    in_adj = {1: [], 2: [("a", 1)], 3: [], 4: [("a", 3)]}
+    aid = inout_order(out_adj, in_adj)
+    assert sorted(aid, key=aid.get) == [1, 2, 3, 4]
 
 
 def test_to_adjacency_roundtrip(spark):

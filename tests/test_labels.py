@@ -97,6 +97,13 @@ def test_encode_decode_roundtrip(seq):
     assert lab.decode(lab.encode(seq)) == seq
 
 
+@pytest.mark.parametrize("seq", [("a,b",), ("a", "b,"), (",",)])
+def test_encode_rejects_separator_in_label(seq):
+    # ("a,b",) would encode like ("a", "b"): refuse rather than merge MRs.
+    with pytest.raises(ValueError, match="delimiter"):
+        lab.encode(seq)
+
+
 # ---- satisfies / k_mr -----------------------------------------------------
 
 def test_satisfies_requires_exact_power():

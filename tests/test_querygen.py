@@ -69,3 +69,9 @@ def test_queries_to_df(spark, graph):
     df = queries_to_df(spark, trues)
     assert df.columns == ["qid", "src", "dst", "mr"]
     assert df.count() == len(trues)
+
+
+def test_queries_to_df_rejects_separator_in_label(spark):
+    # A merged MR string would look up ("a", "b") for the label "a,b".
+    with pytest.raises(ValueError, match="delimiter"):
+        queries_to_df(spark, [(0, 1, ("a", "b")), (0, 1, ("a,b",))])
