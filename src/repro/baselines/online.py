@@ -28,7 +28,7 @@ from typing import Sequence
 
 from pyspark.sql import DataFrame, functions as F
 
-from repro.core.closure import Budget
+from repro.core.closure import Budget, checkpoint_fresh, merge_fresh
 from repro.core.graph import LabeledGraph
 from repro.core.sequential import Adjacency
 
@@ -147,7 +147,10 @@ def batch_nfa_bfs(
     joins it with the transition table on ``(qid, state)`` and with the
     label-partitioned edge table on ``(vertex, label)``. A query is answered
     when a step lands on its target in an accepting state (>= 1 edge, as in
-    :func:`nfa_bfs`), and answered queries stop exploring. Logs
+    :func:`nfa_bfs`), and answered queries stop exploring. Each iteration
+    checkpoints the step once, and one :func:`merge_fresh` job merges its
+    unanswered states into the visited set, marks the new ones (the next
+    frontier) and counts them through an ``Observation``. Logs
     ``(iteration, new_states, seconds)`` for every iteration, the last
     (empty) one included, to this module's logger at INFO level. Returns
     ``(qid, answer)``.
@@ -168,8 +171,7 @@ def batch_nfa_bfs(
         [(qid, s, nfa.start) for qid, (s, _, nfa) in enumerate(queries)],
         "qid long, vertex long, state int",
     ).localCheckpoint()
-    visited = frontier
-    seen = len(queries)
+    visited = frontier.withColumn("fresh", F.lit(True))
     answered = spark.createDataFrame([], "qid long").localCheckpoint()
     it = 0
     while True:
@@ -184,28 +186,21 @@ def batch_nfa_bfs(
                 F.col("next").alias("state"),
                 (F.col("accept") & (F.col("_to") == F.col("target"))).alias("_hit"),
             )
-            .distinct()
-        )
-        hits = stepped.where("_hit").select("qid").distinct()
-        answered = answered.unionByName(hits).distinct().localCheckpoint()
-        frontier = (
-            stepped.select("qid", "vertex", "state")
-            .join(visited, ["qid", "vertex", "state"], "left_anti")
-            .join(answered, "qid", "left_anti")  # stop exploring answered queries
             .localCheckpoint()
         )
-        new = 0
-        if not frontier.isEmpty():
-            visited = visited.unionByName(frontier).localCheckpoint()
-            total = visited.count()
-            new, seen = total - seen, total
+        hits = stepped.where("_hit").select("qid")
+        answered = answered.unionByName(hits).distinct().localCheckpoint()
+        # stop exploring answered queries
+        found = stepped.join(F.broadcast(answered), "qid", "left_anti")
+        visited, new, total = checkpoint_fresh(merge_fresh(visited, found, ["qid", "vertex", "state"]))
+        frontier = visited.where("fresh")
         logger.info(
             "batch_nfa_bfs iteration %d: %d new states, %.3f s",
             it, new, time.perf_counter() - t0,
         )
         if not new:
             break
-        budget.check(seen, it, "batch_nfa_bfs")
+        budget.check(total, it, "batch_nfa_bfs")
     return (
         spark.range(len(queries))
         .select(F.col("id").alias("qid"))

@@ -10,10 +10,16 @@ boundaries into ``R_L`` hops, and ``MR(L^m) = L`` by Fine–Wilf).
 
 So: (1) enumerate all distinct ``(src, dst, seq)`` exact paths of length ≤ k
 with level-wise joins over the label-partitioned edge table; (2) keep the
-primitive sequences as one big hop table keyed by ``mr``; (3) run a
-semi-naive transitive closure with ``mr`` in the join key — all labels'
-closures advance in the same iteration, which is the "edge tables
-partitioned by label" dataflow mapping.
+primitive sequences as one big hop table keyed by ``mr``, the label array
+itself; (3) run a semi-naive transitive closure with ``mr`` in the join key —
+all labels' closures advance in the same iteration, which is the "edge
+tables partitioned by label" dataflow mapping.
+
+Each iteration of (3) is one Spark job with one hash shuffle: the new rows
+join a broadcast of the hop table, and a single group-by on
+``(mr, src, dst)`` over the closure and the extension both deduplicates and
+marks which rows are new (:func:`merge_fresh`). The job's ``Observation``
+counts them, so no iteration pays for a separate ``count()``.
 
 Step (2) is a native Spark SQL predicate (:func:`primitive_predicate`), not
 a Python UDF: a sequence of length ``m`` is primitive iff it differs from
@@ -28,18 +34,22 @@ materialized pairs and report "-" instead of hanging.
 from __future__ import annotations
 
 import logging
+import re
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 
-from pyspark.sql import Column, DataFrame, functions as F
+from pyspark.sql import Column, DataFrame, Observation, functions as F
 
 from repro.core import labels as lab
 from repro.core.graph import LabeledGraph
 
 logger = logging.getLogger(__name__)
+
+#: The closure's key: one row per minimum repeat and vertex pair.
+KEYS = ["mr", "src", "dst"]
 
 
 class BudgetExceeded(RuntimeError):
@@ -145,59 +155,89 @@ def primitive_predicate(k: int) -> Column:
 
 def mr_hops(graph: LabeledGraph, k: int) -> DataFrame:
     """The union of hop relations: ``(mr, src, dst)`` for every primitive
-    exact sequence of length ≤ k (deduplicated)."""
+    exact sequence of length ≤ k (deduplicated). ``mr`` is the label
+    sequence itself (``array<string>``), so labels containing the MR
+    separator keep their sequences apart."""
     paths = exact_paths(graph, k)
     return (
         paths.where(primitive_predicate(k))
-        .select(F.array_join("seq", lab.SEP).alias("mr"), "src", "dst")
+        .select(F.col("seq").alias("mr"), "src", "dst")
         .distinct()
     )
+
+
+def merge_fresh(known: DataFrame, found: DataFrame, keys: list[str]) -> DataFrame:
+    """``known ∪ found`` deduplicated on ``keys`` by one hash aggregation,
+    with a boolean ``fresh`` that is true exactly for the rows of ``found``
+    that are not in ``known``. One shuffle does the work of ``distinct``,
+    ``left_anti`` and the union of a semi-naive fixpoint step."""
+    return (
+        known.select(*keys, F.lit(False).alias("fresh"))
+        .unionByName(found.select(*keys, F.lit(True).alias("fresh")))
+        .groupBy(*keys)
+        .agg(F.min("fresh").alias("fresh"))
+    )
+
+
+def checkpoint_fresh(df: DataFrame) -> tuple[DataFrame, int, int]:
+    """``localCheckpoint`` a :func:`merge_fresh` result and return it with
+    its fresh-row and total-row counts, read from an ``Observation`` on that
+    same job rather than from a ``count()`` job of their own."""
+    obs = Observation()
+    df = df.observe(
+        obs, F.count_if("fresh").alias("fresh"), F.count(F.lit(1)).alias("rows")
+    ).localCheckpoint()
+    metrics = obs.get
+    return df, metrics["fresh"], metrics["rows"]
+
+
+def closure_step(state: DataFrame, hops: DataFrame) -> DataFrame:
+    """One semi-naive ETC iteration: extend the ``fresh`` rows of ``state``
+    ``(mr, src, dst, fresh)`` by one hop of the same ``mr`` and merge them
+    into it. The hop table is broadcast (it is bounded by the graph's exact
+    paths); the closure never is, so the step has one hash shuffle."""
+    delta = state.where("fresh")
+    r = F.broadcast(
+        hops.select(F.col("mr").alias("_m"), F.col("src").alias("_s"), F.col("dst").alias("_d"))
+    )
+    extended = delta.join(r, (delta["mr"] == F.col("_m")) & (delta["dst"] == F.col("_s"))).select(
+        delta["mr"], delta["src"], F.col("_d").alias("dst")
+    )
+    return merge_fresh(state, extended, KEYS)
 
 
 def concise_closure(
     graph: LabeledGraph, k: int, budget: Budget | None = None
 ) -> DataFrame:
-    """The concise transitive closure ``{(src, dst, mr)}`` = ETC contents.
+    """The concise transitive closure ``{(mr, src, dst)}`` = ETC contents.
 
-    Semi-naive iteration: ``delta' = delta ⋈ R`` (extend by one primitive
-    hop) minus known, until empty. Returns a localCheckpoint'ed DataFrame.
-    Logs ``(iteration, delta_rows, seconds)`` for every iteration, the last
-    (empty) one included, to this module's logger at INFO level.
+    Semi-naive iteration over a state ``(mr, src, dst, fresh)`` that starts
+    as the hop table, all fresh: each iteration is one
+    :func:`closure_step` (the fresh rows extended by one primitive hop,
+    merged into the state) and one local checkpoint, whose ``Observation``
+    gives the new rows and the running total, until no row is fresh.
+    Returns the ``(mr, src, dst)`` columns of the last checkpoint. Logs
+    ``(iteration, delta_rows, total_rows, seconds)`` for every iteration,
+    the last (empty) one included, to this module's logger at INFO level.
     """
     budget = (budget or Budget()).start()
     spark = graph.edges.sparkSession
     with budget.enforce(spark, "concise_closure(ETC)"):
-        hops = mr_hops(graph, k).localCheckpoint()
-        r = hops.select(
-            F.col("mr").alias("_m"), F.col("src").alias("_s"), F.col("dst").alias("_d")
-        )
-        closure = hops
-        delta = hops
-        total = closure.count()
+        state = mr_hops(graph, k).withColumn("fresh", F.lit(True)).localCheckpoint()
+        hops = state.select(*KEYS)
         it = 0
         while True:
             it += 1
             t0 = time.perf_counter()
-            new = (
-                delta.join(r, (delta["mr"] == F.col("_m")) & (delta["dst"] == F.col("_s")))
-                .select(delta["mr"], delta["src"], F.col("_d").alias("dst"))
-                .distinct()
-            )
-            delta = new.join(closure, ["mr", "src", "dst"], "left_anti").localCheckpoint()
-            n = delta.count()
-            if n:
-                old = closure
-                closure = closure.unionByName(delta).localCheckpoint()
-                old.unpersist()
-                total += n
+            state, n, total = checkpoint_fresh(closure_step(state, hops))
             logger.info(
-                "concise_closure iteration %d: %d delta rows, %.3f s",
-                it, n, time.perf_counter() - t0,
+                "concise_closure iteration %d: %d delta rows, %d total rows, %.3f s",
+                it, n, total, time.perf_counter() - t0,
             )
             if n == 0:
                 break
             budget.check(total, it, "concise_closure(ETC)")
-    return closure
+    return state.select(*KEYS)
 
 
 class EtcIndex:
@@ -211,23 +251,31 @@ class EtcIndex:
         return self.df.count()
 
     def size_bytes(self) -> int:
-        """16 bytes for the vertex pair + mr bytes per closure entry."""
-        row = self.df.agg(F.sum(F.lit(16) + F.length("mr")).alias("b")).collect()[0][0]
+        """16 bytes for the vertex pair + the bytes of the ``SEP``-joined mr
+        per closure entry."""
+        mr_len = F.length(F.array_join("mr", lab.SEP))
+        row = self.df.agg(F.sum(F.lit(16) + mr_len).alias("b")).collect()[0][0]
         return int(row or 0)
 
     def query_batch(self, queries: DataFrame) -> DataFrame:
+        """Answers for ``(qid, src, dst, mr)`` queries with ``mr`` encoded by
+        :func:`repro.core.labels.encode`. Splitting it on ``SEP`` restores
+        the label array exactly, because ``encode`` refuses labels that
+        contain ``SEP``."""
+        keyed = queries.select("qid", "src", "dst", F.split("mr", re.escape(lab.SEP), -1).alias("mr"))
         hit = (
-            queries.join(self.df, ["src", "dst", "mr"], "leftsemi")
+            keyed.join(self.df, ["src", "dst", "mr"], "leftsemi")
             .select("qid")
             .distinct()
             .withColumn("answer", F.lit(True))
         )
         return queries.select("qid").join(hit, "qid", "left").fillna(False, subset=["answer"])
 
-    def to_driver(self) -> dict[tuple[int, int], set[str]]:
-        """Driver hashmap ``(src, dst) -> {mr}`` — the paper's ETC stores
-        reachable pairs with their k-MR sets in a hashmap (§VI-a)."""
-        out: dict[tuple[int, int], set[str]] = {}
+    def to_driver(self) -> dict[tuple[int, int], set[lab.Seq]]:
+        """Driver hashmap ``(src, dst) -> {mr}`` with MR tuples — the
+        paper's ETC stores reachable pairs with their k-MR sets in a hashmap
+        (§VI-a)."""
+        out: dict[tuple[int, int], set[lab.Seq]] = {}
         for r in self.df.collect():
-            out.setdefault((r.src, r.dst), set()).add(r.mr)
+            out.setdefault((r.src, r.dst), set()).add(tuple(r.mr))
         return out

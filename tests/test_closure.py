@@ -2,27 +2,30 @@
 DuckDB recursive-CTE oracle, and for its native primitivity predicate
 against :func:`repro.core.labels.is_primitive`."""
 import logging
+import random
 from itertools import product
 
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.closure import (
+    KEYS,
     Budget,
     BudgetExceeded,
     EtcIndex,
+    closure_step,
     concise_closure,
     exact_paths,
     mr_hops,
     primitive_predicate,
 )
 from repro.core.graph import LabeledGraph
-from repro.core.labels import encode, is_primitive
+from repro.core.labels import Seq, is_primitive
 from repro.core.querygen import queries_to_df
 from repro.core.sequential import Adjacency, brute_force_closure, path_table
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from repro.oracle import assert_equivalent
-from tests.util import HOSTILE_LABELS, adjacency_edges, seeded_graph
+from tests.util import HOSTILE_LABELS, adjacency_edges, rand_adjacency, seeded_graph
 
 #: Edge lists checked at k=3: Fig. 2 and two random graphs with 3 and 2 labels.
 K3_GRAPHS = {
@@ -40,7 +43,7 @@ def out_adjacency(edges: list[tuple[int, str, int]]) -> Adjacency:
     return out_adj
 
 
-def driver_hops(out_adj: Adjacency, k: int) -> set[tuple[str, int, int]]:
+def driver_hops(out_adj: Adjacency, k: int) -> set[tuple[Seq, int, int]]:
     """Reference hop table: every exact path sequence of length <= k,
     enumerated on the driver and kept iff ``is_primitive``."""
     hops = set()
@@ -48,16 +51,16 @@ def driver_hops(out_adj: Adjacency, k: int) -> set[tuple[str, int, int]]:
         level = {(u, ())}
         for _ in range(k):
             level = {(y, seq + (lbl,)) for x, seq in level for lbl, y in out_adj[x]}
-            hops |= {(encode(seq), u, y) for y, seq in level if is_primitive(seq)}
+            hops |= {(seq, u, y) for y, seq in level if is_primitive(seq)}
     return hops
 
 
-def closure_rows(closure) -> set[tuple[int, int, str]]:
-    return {(r.src, r.dst, r.mr) for r in closure.collect()}
+def closure_rows(closure) -> set[tuple[int, int, Seq]]:
+    return {(r.src, r.dst, tuple(r.mr)) for r in closure.collect()}
 
 
-def brute_rows(out_adj: Adjacency, k: int) -> set[tuple[int, int, str]]:
-    return {(s, t, encode(L)) for s, t, L in brute_force_closure(out_adj, k)}
+def brute_rows(out_adj: Adjacency, k: int) -> set[tuple[int, int, Seq]]:
+    return set(brute_force_closure(out_adj, k))
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +89,9 @@ def test_exact_paths_depth2_count(spark, fig2):
 
 def test_mr_hops_only_primitive(spark, fig2):
     hops = mr_hops(fig2, 2).collect()
-    assert all("," not in r.mr or r.mr.split(",")[0] != r.mr.split(",")[1] for r in hops)
+    assert all(is_primitive(tuple(r.mr)) for r in hops)
     # (l2,l2) from v1 to v4 is not primitive, so it is not a hop; (l2) hops exist.
-    assert {(r.src, r.dst) for r in hops if r.mr == "l2"} >= {(1, 3), (3, 1), (3, 4)}
+    assert {(r.src, r.dst) for r in hops if r.mr == ["l2"]} >= {(1, 3), (3, 1), (3, 4)}
 
 
 def test_primitive_predicate_matches_is_primitive(spark):
@@ -108,10 +111,10 @@ def test_mr_hops_plans_no_python_udf(spark, fig2):
     assert "EvalPython" not in plan
 
 
-def builder_hops(out_adj: Adjacency, k: int) -> set[tuple[str, int, int]]:
+def builder_hops(out_adj: Adjacency, k: int) -> set[tuple[Seq, int, int]]:
     """The primitive part of the RLC builder's exact-path table."""
     return {
-        (encode(seq), x, y)
+        (seq, x, y)
         for x, row in path_table(out_adj, k).items()
         for seq, ys in row.items()
         if is_primitive(seq)
@@ -125,7 +128,7 @@ def test_mr_hops_matches_driver_reference(spark, graph):
     driver enumeration and the primitive part of the RLC builder's table."""
     edges = K3_GRAPHS[graph]
     g = LabeledGraph.from_edge_list(spark, edges)
-    got = {(r.mr, r.src, r.dst) for r in mr_hops(g, 3).collect()}
+    got = {(tuple(r.mr), r.src, r.dst) for r in mr_hops(g, 3).collect()}
     assert got == driver_hops(out_adjacency(edges), 3)
     assert got == builder_hops(out_adjacency(edges), 3)
 
@@ -154,20 +157,24 @@ class RecordingBudget(Budget):
 def test_closure_logs_each_iteration(spark, fig2, caplog):
     """One INFO record per fixpoint iteration, the empty last one included;
     the logged deltas add up to the closure, and Budget.check still runs
-    after every non-empty iteration with the cumulative row count."""
+    after every non-empty iteration with the cumulative row count, which is
+    also the logged running total."""
     budget = RecordingBudget()
     with caplog.at_level(logging.INFO, logger="repro.core.closure"):
         closure = concise_closure(fig2, 2, budget)
     logged = [r.args for r in caplog.records if r.name == "repro.core.closure"]
-    its = [it for it, _, _ in logged]
-    deltas = [n for _, n, _ in logged]
+    its = [it for it, _, _, _ in logged]
+    deltas = [n for _, n, _, _ in logged]
     assert its == list(range(1, len(logged) + 1)) and len(logged) >= 2
     assert deltas[-1] == 0 and all(deltas[:-1])
-    assert all(sec >= 0 for _, _, sec in logged)
+    assert all(sec >= 0 for _, _, _, sec in logged)
     hops = mr_hops(fig2, 2).count()
     assert hops + sum(deltas) == closure.count() == 42
     totals = [hops + sum(deltas[:i]) for i in its[:-1]]
     assert budget.checks == list(zip(its[:-1], totals))
+    logged_totals = [total for _, _, total, _ in logged]
+    assert budget.checks == list(zip(its[:-1], logged_totals[:-1]))
+    assert logged_totals[-1] == logged_totals[-2] == 42
 
 
 @pytest.mark.parametrize("seed", [1, 4])
@@ -180,7 +187,7 @@ def test_closure_matches_brute_force_random(spark, seed):
 def test_closure_duckdb_recursive_cte_oracle(spark, fig2, fig2_closure):
     """The per-L closure equals DuckDB's recursive-CTE evaluation of L+."""
     got = (
-        fig2_closure.where(F.col("mr") == "l2,l1")
+        fig2_closure.where(F.col("mr") == F.array(F.lit("l2"), F.lit("l1")))
         .select("src", "dst")
         .distinct()
     )
@@ -200,6 +207,59 @@ def test_closure_duckdb_recursive_cte_oracle(spark, fig2, fig2_closure):
     assert_equivalent(got, sql, edges=fig2.edges)
 
 
+#: A label containing the MR separator: ``("a,b",)`` and ``("a", "b")`` are
+#: different sequences, and no vertex reaches itself by a power of either.
+COMMA_EDGES = [(0, "a,b", 1), (1, "a", 2), (2, "b", 0)]
+
+
+def test_closure_keeps_comma_label_sequences_apart(spark):
+    g = LabeledGraph.from_edge_list(spark, COMMA_EDGES)
+    closure = concise_closure(g, 2)
+    got = closure_rows(closure)
+    assert got == brute_rows(out_adjacency(COMMA_EDGES), 2)
+    assert not {(s, t) for s, t, _ in got} & {(0, 0), (1, 1)}
+    assert (1, 0, ("a", "b")) in got and (0, 1, ("a,b",)) in got
+    etc = EtcIndex(closure, 2)
+    assert etc.to_driver()[(1, 0)] == {("a", "b")}
+    # "a,b" cannot be a query label (encode refuses it); the others can.
+    queries = [(1, 0, ("a", "b")), (0, 0, ("a", "b")), (1, 2, ("a",)), (0, 2, ("a",))]
+    ans = {r.qid: r.answer for r in etc.query_batch(queries_to_df(spark, queries)).collect()}
+    assert ans == {0: True, 1: False, 2: True, 3: False}
+
+
+def edge_case_graphs() -> dict[str, tuple[list[tuple[int, str, int]], int]]:
+    """Edge lists and k for the fixpoint's corner cases."""
+    rng = random.Random(11)
+    labels = [lbl for lbl in HOSTILE_LABELS if "," not in lbl]
+    hostile, _ = rand_adjacency(rng, 8, 20, labels, loops=3)
+    return {
+        "empty": ([], 2),
+        "self_loops": ([(0, "a", 0), (0, "b", 0), (1, "a", 1), (2, "", 2)], 3),
+        "one_edge": ([(0, "a", 1)], 2),
+        "hostile_k2": (adjacency_edges(hostile), 2),
+        "hostile_k3": (adjacency_edges(hostile), 3),
+    }
+
+
+@pytest.mark.parametrize("case", edge_case_graphs())
+def test_closure_edge_cases_match_brute_force(spark, case):
+    edges, k = edge_case_graphs()[case]
+    g = LabeledGraph(spark.createDataFrame(edges, "src long, label string, dst long"))
+    got = closure_rows(concise_closure(g, k))
+    assert got == brute_rows(out_adjacency(edges), k)
+    assert bool(got) == bool(edges)
+
+
+def test_closure_step_plans_one_shuffle(spark, fig2):
+    """An iteration joins a broadcast hop table and merges with exactly one
+    hash shuffle: the dedup, anti-join and union of the closure are one
+    group-by, not an exchange each."""
+    state = mr_hops(fig2, 2).withColumn("fresh", F.lit(True)).localCheckpoint()
+    plan = closure_step(state, state.select(*KEYS))._jdf.queryExecution().executedPlan().toString()
+    assert plan.count("Exchange hashpartitioning") == 1
+    assert plan.count("BroadcastExchange") == 1
+
+
 def test_etc_index_interfaces(spark, fig2, fig2_closure):
     etc = EtcIndex(fig2_closure, 2)
     n = etc.entry_count()
@@ -212,7 +272,7 @@ def test_etc_index_interfaces(spark, fig2, fig2_closure):
     ans = {r.qid: r.answer for r in etc.query_batch(queries).collect()}
     assert ans == {0: True, 1: False, 2: True}
     driver = etc.to_driver()
-    assert "l2,l1" in driver[(3, 6)]
+    assert ("l2", "l1") in driver[(3, 6)]
 
 
 def test_budget_rows_exceeded(spark, fig2):
