@@ -15,24 +15,20 @@ Three implementations:
   backward progress ``j`` align (``(i + j) mod m == 0``) at the same vertex;
 - :func:`batch_nfa_bfs` — the same product-state BFS as distributed
   dataflow: one transition table built from every query's NFA and one
-  frontier DataFrame carrying every query in the workload at once, so
-  ``L+`` and ``a+ . b+`` share one Spark loop.
+  state DataFrame carrying every query in the workload at once, so ``L+``
+  and ``a+ . b+`` share one Spark loop, ETC's :func:`fixpoint`.
 """
 from __future__ import annotations
 
-import logging
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.closure import Budget, checkpoint_fresh, merge_fresh
+from repro.core.closure import Budget, fixpoint, merge_fresh
 from repro.core.graph import LabeledGraph
 from repro.core.sequential import Adjacency
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -133,6 +129,51 @@ def bibfs(out_adj: Adjacency, in_adj: Adjacency, s: int, t: int, L: Sequence[str
     return False
 
 
+#: The batch BFS state's key: one row per query and product state. The row
+#: ``(qid, NULL, NULL)`` is the query's answer, told apart by its NULL
+#: ``state``, which no transition produces (an edge may lack a vertex id).
+BFS_KEYS = ["qid", "vertex", "state"]
+
+
+def nfa_table(spark: SparkSession, queries: Sequence[tuple[int, int, Nfa]]) -> DataFrame:
+    """Every transition of every query's NFA as one row
+    ``(qid, state, label, next, accept, target)``; ``qid`` is the query's
+    position, ``target`` its destination vertex."""
+    return spark.createDataFrame(
+        [
+            (qid, q, label, q2, q2 in nfa.accept, t)
+            for qid, (_, t, nfa) in enumerate(queries)
+            for (q, label), nxt in nfa.trans.items()
+            for q2 in nxt
+        ],
+        "qid long, state int, label string, next int, accept boolean, target long",
+    )
+
+
+def bfs_step(state: DataFrame, trans: DataFrame, graph: LabeledGraph) -> DataFrame:
+    """One batch BFS iteration over the state ``(qid, vertex, state,
+    fresh)``: the fresh rows of queries with no answer row join the
+    transition table on ``(qid, state)`` and the edge table on
+    ``(vertex, label)``, and the landings merge into the state. A landing on
+    the query's target in an accepting state (>= 1 edge, as in
+    :func:`nfa_bfs`) merges as the answer row ``(qid, NULL, NULL)``."""
+    answered = state.where(F.col("state").isNull()).select("qid")
+    frontier = state.where("fresh").join(F.broadcast(answered), "qid", "left_anti")
+    e = graph.edges.select(F.col("src").alias("vertex"), "label", F.col("dst").alias("_to"))
+    # Null-safe, so a landing on a NULL vertex id is a miss, not NULL.
+    missed = ~(F.col("accept") & F.col("_to").eqNullSafe(F.col("target")))
+    found = (
+        frontier.join(trans, ["qid", "state"])
+        .join(e, ["vertex", "label"])
+        .select(
+            "qid",
+            F.when(missed, F.col("_to")).alias("vertex"),
+            F.when(missed, F.col("next")).alias("state"),
+        )
+    )
+    return merge_fresh(state, found, BFS_KEYS)
+
+
 def batch_nfa_bfs(
     graph: LabeledGraph,
     queries: Sequence[tuple[int, int, Nfa]],
@@ -141,69 +182,25 @@ def batch_nfa_bfs(
     """Distributed product-state BFS for a whole workload of NFA queries.
 
     ``queries``: ``(src, dst, nfa)`` triples; a query's ``qid`` is its
-    position. Every transition of every NFA becomes one row of a transition
-    table ``(qid, state, label, next, accept, target)``. One frontier
-    DataFrame ``(qid, vertex, state)`` carries all queries; each iteration
-    joins it with the transition table on ``(qid, state)`` and with the
-    label-partitioned edge table on ``(vertex, label)``. A query is answered
-    when a step lands on its target in an accepting state (>= 1 edge, as in
-    :func:`nfa_bfs`), and answered queries stop exploring. Each iteration
-    checkpoints the step once, and one :func:`merge_fresh` job merges its
-    unanswered states into the visited set, marks the new ones (the next
-    frontier) and counts them through an ``Observation``. Logs
-    ``(iteration, new_states, seconds)`` for every iteration, the last
-    (empty) one included, to this module's logger at INFO level. Returns
-    ``(qid, answer)``.
+    position. :func:`fixpoint` runs :func:`bfs_step` on one state
+    ``(qid, vertex, state, fresh)`` seeded with every query's start state.
+    A query is true iff the final state holds its answer row
+    ``(qid, NULL, NULL)``; a true query costs at most one more, empty
+    iteration. Returns ``(qid, answer)``.
     """
-    budget = (budget or Budget(max_iterations=10_000)).start()
     spark = graph.edges.sparkSession
-    e = graph.edges.select(F.col("src").alias("vertex"), "label", F.col("dst").alias("_to"))
-    trans = spark.createDataFrame(
-        [
-            (qid, q, label, q2, q2 in nfa.accept, t)
-            for qid, (_, t, nfa) in enumerate(queries)
-            for (q, label), nxt in nfa.trans.items()
-            for q2 in nxt
-        ],
-        "qid long, state int, label string, next int, accept boolean, target long",
-    ).localCheckpoint()
-    frontier = spark.createDataFrame(
-        [(qid, s, nfa.start) for qid, (s, _, nfa) in enumerate(queries)],
-        "qid long, vertex long, state int",
-    ).localCheckpoint()
-    visited = frontier.withColumn("fresh", F.lit(True))
-    answered = spark.createDataFrame([], "qid long").localCheckpoint()
-    it = 0
-    while True:
-        it += 1
-        t0 = time.perf_counter()
-        stepped = (
-            frontier.join(trans, ["qid", "state"])
-            .join(e, ["vertex", "label"])
-            .select(
-                "qid",
-                F.col("_to").alias("vertex"),
-                F.col("next").alias("state"),
-                (F.col("accept") & (F.col("_to") == F.col("target"))).alias("_hit"),
-            )
-            .localCheckpoint()
-        )
-        hits = stepped.where("_hit").select("qid")
-        answered = answered.unionByName(hits).distinct().localCheckpoint()
-        # stop exploring answered queries
-        found = stepped.join(F.broadcast(answered), "qid", "left_anti")
-        visited, new, total = checkpoint_fresh(merge_fresh(visited, found, ["qid", "vertex", "state"]))
-        frontier = visited.where("fresh")
-        logger.info(
-            "batch_nfa_bfs iteration %d: %d new states, %.3f s",
-            it, new, time.perf_counter() - t0,
-        )
-        if not new:
-            break
-        budget.check(total, it, "batch_nfa_bfs")
-    return (
-        spark.range(len(queries))
-        .select(F.col("id").alias("qid"))
-        .join(answered.withColumn("answer", F.lit(True)), "qid", "left")
-        .fillna(False, subset=["answer"])
+    # Lazy: the first step materialises it, inside the loop's budget.
+    trans = nfa_table(spark, queries).localCheckpoint(eager=False)
+    seed = spark.createDataFrame(
+        [(qid, s, nfa.start, True) for qid, (s, _, nfa) in enumerate(queries)],
+        "qid long, vertex long, state int, fresh boolean",
     )
+    final = fixpoint(
+        seed,
+        lambda state, _: bfs_step(state, trans, graph),
+        budget or Budget(max_iterations=10_000),
+        "batch_nfa_bfs",
+    )
+    hits = final.where(F.col("state").isNull()).select("qid", F.lit(True).alias("answer"))
+    qids = spark.range(len(queries)).select(F.col("id").alias("qid"))
+    return qids.join(hits, "qid", "left").fillna(False, subset=["answer"])

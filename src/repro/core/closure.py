@@ -19,7 +19,8 @@ Each iteration of (3) is one Spark job with one hash shuffle: the new rows
 join a broadcast of the hop table, and a single group-by on
 ``(mr, src, dst)`` over the closure and the extension both deduplicates and
 marks which rows are new (:func:`merge_fresh`). The job's ``Observation``
-counts them, so no iteration pays for a separate ``count()``.
+counts them, so no iteration pays for a separate ``count()``. The loop,
+:func:`fixpoint`, also runs Sys1's batch BFS (``baselines.online``).
 
 Step (2) is a native Spark SQL predicate (:func:`primitive_predicate`), not
 a Python UDF: a sequence of length ``m`` is primitive iff it differs from
@@ -40,6 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 from pyspark.sql import Column, DataFrame, Observation, functions as F
 
@@ -179,23 +181,12 @@ def merge_fresh(known: DataFrame, found: DataFrame, keys: list[str]) -> DataFram
     )
 
 
-def checkpoint_fresh(df: DataFrame) -> tuple[DataFrame, int, int]:
-    """``localCheckpoint`` a :func:`merge_fresh` result and return it with
-    its fresh-row and total-row counts, read from an ``Observation`` on that
-    same job rather than from a ``count()`` job of their own."""
-    obs = Observation()
-    df = df.observe(
-        obs, F.count_if("fresh").alias("fresh"), F.count(F.lit(1)).alias("rows")
-    ).localCheckpoint()
-    metrics = obs.get
-    return df, metrics["fresh"], metrics["rows"]
-
-
 def closure_step(state: DataFrame, hops: DataFrame) -> DataFrame:
     """One semi-naive ETC iteration: extend the ``fresh`` rows of ``state``
-    ``(mr, src, dst, fresh)`` by one hop of the same ``mr`` and merge them
-    into it. The hop table is broadcast (it is bounded by the graph's exact
-    paths); the closure never is, so the step has one hash shuffle."""
+    ``(mr, src, dst, fresh)`` by one hop of the same ``mr`` in ``hops`` and
+    merge them into it. The hop table is broadcast (it is bounded by the
+    graph's exact paths); the closure never is, so the step has one hash
+    shuffle."""
     delta = state.where("fresh")
     r = F.broadcast(
         hops.select(F.col("mr").alias("_m"), F.col("src").alias("_s"), F.col("dst").alias("_d"))
@@ -206,38 +197,45 @@ def closure_step(state: DataFrame, hops: DataFrame) -> DataFrame:
     return merge_fresh(state, extended, KEYS)
 
 
-def concise_closure(
-    graph: LabeledGraph, k: int, budget: Budget | None = None
+def fixpoint(
+    seed: DataFrame, step: Callable[[DataFrame, DataFrame], DataFrame], budget: Budget, what: str
 ) -> DataFrame:
-    """The concise transitive closure ``{(mr, src, dst)}`` = ETC contents.
-
-    Semi-naive iteration over a state ``(mr, src, dst, fresh)`` that starts
-    as the hop table, all fresh: each iteration is one
-    :func:`closure_step` (the fresh rows extended by one primitive hop,
-    merged into the state) and one local checkpoint, whose ``Observation``
-    gives the new rows and the running total, until no row is fresh.
-    Returns the ``(mr, src, dst)`` columns of the last checkpoint. Logs
-    ``(iteration, delta_rows, total_rows, seconds)`` for every iteration,
-    the last (empty) one included, to this module's logger at INFO level.
+    """The semi-naive Spark loop of ETC and Sys1's batch BFS. Local-checkpoints
+    the lazy ``seed`` state (a boolean ``fresh`` column marks new rows), then
+    ``state = step(state, seed)`` with one local checkpoint per iteration,
+    until no row is fresh; the checkpoint's ``Observation`` counts the fresh
+    rows and the total. Runs under ``budget.enforce``, calls ``budget.check``
+    after every non-empty iteration, and logs ``(what, iteration,
+    delta_rows, total_rows, seconds)`` at INFO for every iteration, the
+    empty last one included. Returns the last state.
     """
-    budget = (budget or Budget()).start()
-    spark = graph.edges.sparkSession
-    with budget.enforce(spark, "concise_closure(ETC)"):
-        state = mr_hops(graph, k).withColumn("fresh", F.lit(True)).localCheckpoint()
-        hops = state.select(*KEYS)
+    budget.start()
+    with budget.enforce(seed.sparkSession, what):
+        state = seed = seed.localCheckpoint()
         it = 0
         while True:
             it += 1
             t0 = time.perf_counter()
-            state, n, total = checkpoint_fresh(closure_step(state, hops))
+            obs = Observation()
+            state = step(state, seed).observe(
+                obs, F.count_if("fresh").alias("fresh"), F.count(F.lit(1)).alias("rows")
+            ).localCheckpoint()
+            n, total = obs.get["fresh"], obs.get["rows"]
             logger.info(
-                "concise_closure iteration %d: %d delta rows, %d total rows, %.3f s",
-                it, n, total, time.perf_counter() - t0,
+                "%s iteration %d: %d delta rows, %d total rows, %.3f s",
+                what, it, n, total, time.perf_counter() - t0,
             )
             if n == 0:
-                break
-            budget.check(total, it, "concise_closure(ETC)")
-    return state.select(*KEYS)
+                return state
+            budget.check(total, it, what)
+
+
+def concise_closure(graph: LabeledGraph, k: int, budget: Budget | None = None) -> DataFrame:
+    """The concise transitive closure ``{(mr, src, dst)}`` = ETC contents:
+    the :func:`fixpoint` of :func:`closure_step` from the hop table, all
+    fresh, whose checkpoint is also the table each step extends by."""
+    seed = mr_hops(graph, k).withColumn("fresh", F.lit(True))
+    return fixpoint(seed, closure_step, budget or Budget(), "concise_closure(ETC)").select(*KEYS)
 
 
 class EtcIndex:

@@ -2,7 +2,6 @@
 DuckDB recursive-CTE oracle, and for its native primitivity predicate
 against :func:`repro.core.labels.is_primitive`."""
 import logging
-import random
 from itertools import product
 
 import pytest
@@ -25,7 +24,17 @@ from repro.core.querygen import queries_to_df
 from repro.core.sequential import Adjacency, brute_force_closure, path_table
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from repro.oracle import assert_equivalent
-from tests.util import HOSTILE_LABELS, adjacency_edges, rand_adjacency, seeded_graph
+from tests.util import (
+    COMMA_EDGES,
+    HOSTILE_LABELS,
+    RecordingBudget,
+    adjacency_edges,
+    edge_case_graphs,
+    fixpoint_records,
+    out_adjacency,
+    seeded_graph,
+    spark_jobs,
+)
 
 #: Edge lists checked at k=3: Fig. 2 and two random graphs with 3 and 2 labels.
 K3_GRAPHS = {
@@ -33,14 +42,6 @@ K3_GRAPHS = {
     "seed5": adjacency_edges(seeded_graph(5)[0]),
     "seed7": adjacency_edges(seeded_graph(7)[0]),
 }
-
-
-def out_adjacency(edges: list[tuple[int, str, int]]) -> Adjacency:
-    out_adj: Adjacency = {}
-    for s, lbl, t in edges:
-        out_adj.setdefault(s, []).append((lbl, t))
-        out_adj.setdefault(t, [])
-    return out_adj
 
 
 def driver_hops(out_adj: Adjacency, k: int) -> set[tuple[Seq, int, int]]:
@@ -144,16 +145,6 @@ def test_closure_matches_brute_force_k3(spark, graph):
     assert closure_rows(concise_closure(g, 3)) == brute_rows(out_adjacency(edges), 3)
 
 
-class RecordingBudget(Budget):
-    def start(self) -> "RecordingBudget":
-        self.checks = []
-        return super().start()
-
-    def check(self, rows: int, iteration: int, what: str) -> None:
-        self.checks.append((iteration, rows))
-        super().check(rows, iteration, what)
-
-
 def test_closure_logs_each_iteration(spark, fig2, caplog):
     """One INFO record per fixpoint iteration, the empty last one included;
     the logged deltas add up to the closure, and Budget.check still runs
@@ -162,7 +153,7 @@ def test_closure_logs_each_iteration(spark, fig2, caplog):
     budget = RecordingBudget()
     with caplog.at_level(logging.INFO, logger="repro.core.closure"):
         closure = concise_closure(fig2, 2, budget)
-    logged = [r.args for r in caplog.records if r.name == "repro.core.closure"]
+    logged = fixpoint_records(caplog, "concise_closure(ETC)")
     its = [it for it, _, _, _ in logged]
     deltas = [n for _, n, _, _ in logged]
     assert its == list(range(1, len(logged) + 1)) and len(logged) >= 2
@@ -207,11 +198,6 @@ def test_closure_duckdb_recursive_cte_oracle(spark, fig2, fig2_closure):
     assert_equivalent(got, sql, edges=fig2.edges)
 
 
-#: A label containing the MR separator: ``("a,b",)`` and ``("a", "b")`` are
-#: different sequences, and no vertex reaches itself by a power of either.
-COMMA_EDGES = [(0, "a,b", 1), (1, "a", 2), (2, "b", 0)]
-
-
 def test_closure_keeps_comma_label_sequences_apart(spark):
     g = LabeledGraph.from_edge_list(spark, COMMA_EDGES)
     closure = concise_closure(g, 2)
@@ -225,20 +211,6 @@ def test_closure_keeps_comma_label_sequences_apart(spark):
     queries = [(1, 0, ("a", "b")), (0, 0, ("a", "b")), (1, 2, ("a",)), (0, 2, ("a",))]
     ans = {r.qid: r.answer for r in etc.query_batch(queries_to_df(spark, queries)).collect()}
     assert ans == {0: True, 1: False, 2: True, 3: False}
-
-
-def edge_case_graphs() -> dict[str, tuple[list[tuple[int, str, int]], int]]:
-    """Edge lists and k for the fixpoint's corner cases."""
-    rng = random.Random(11)
-    labels = [lbl for lbl in HOSTILE_LABELS if "," not in lbl]
-    hostile, _ = rand_adjacency(rng, 8, 20, labels, loops=3)
-    return {
-        "empty": ([], 2),
-        "self_loops": ([(0, "a", 0), (0, "b", 0), (1, "a", 1), (2, "", 2)], 3),
-        "one_edge": ([(0, "a", 1)], 2),
-        "hostile_k2": (adjacency_edges(hostile), 2),
-        "hostile_k3": (adjacency_edges(hostile), 3),
-    }
 
 
 @pytest.mark.parametrize("case", edge_case_graphs())
@@ -258,6 +230,16 @@ def test_closure_step_plans_one_shuffle(spark, fig2):
     plan = closure_step(state, state.select(*KEYS))._jdf.queryExecution().executedPlan().toString()
     assert plan.count("Exchange hashpartitioning") == 1
     assert plan.count("BroadcastExchange") == 1
+
+
+def test_closure_step_starts_no_job(spark, fig2):
+    """Planning an iteration from a checkpointed state runs no Spark job:
+    only the loop's one checkpoint per iteration does work."""
+    state = mr_hops(fig2, 2).withColumn("fresh", F.lit(True)).localCheckpoint()
+    step, planned = spark_jobs(spark, lambda: closure_step(state, state.select(*KEYS)))
+    assert planned == 0
+    _, ran = spark_jobs(spark, step.localCheckpoint)
+    assert ran > 0
 
 
 def test_etc_index_interfaces(spark, fig2, fig2_closure):

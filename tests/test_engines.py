@@ -12,9 +12,7 @@ from repro.core.graph import LabeledGraph
 from repro.core.labels import all_mrs
 from repro.core.sequential import SequentialRlcIndex, brute_force_closure
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
-from tests.test_batch_bfs import COMMA_EDGES, COMMA_QUERIES
-from tests.test_online import brute_concat_plus
-from tests.util import query_universe
+from tests.util import COMMA_EDGES, COMMA_QUERIES, brute_concat_plus, query_universe
 
 
 @pytest.fixture(scope="module")

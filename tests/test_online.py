@@ -4,7 +4,7 @@ import pytest
 from repro.baselines.online import Nfa, bibfs, nfa_bfs
 from repro.core.labels import all_mrs
 from repro.core.sequential import brute_force_closure
-from tests.util import query_universe, seeded_graph
+from tests.util import brute_concat_plus, query_universe, seeded_graph
 
 
 def test_kleene_plus_nfa_shape():
@@ -65,24 +65,6 @@ def test_dfs_and_bibfs_match_bfs(seed):
     for s, t, L in query_universe(len(out_adj), all_mrs(labels, k)):
         want = nfa_bfs(out_adj, s, t, Nfa.kleene_plus(L))
         assert bibfs(out_adj, in_adj, s, t, L) == want, (s, t, L)
-
-
-def brute_concat_plus(out_adj, s, t, a, b):
-    """Ground truth for a+ . b+ : v reachable from s via a-edges (>=1), t
-    reachable from v via b-edges (>=1)."""
-    def reach(frontier, lbl):
-        seen = set()
-        stack = list(frontier)
-        while stack:
-            v = stack.pop()
-            for l, w in out_adj.get(v, ()):
-                if l == lbl and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    mid = reach([s], a)
-    return t in reach(mid, b)
 
 
 @pytest.mark.parametrize("seed", range(10))

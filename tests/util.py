@@ -4,11 +4,13 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import random
+import uuid
 from types import ModuleType
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from pyspark.sql import SparkSession
 
+from repro.core.closure import Budget
 from repro.core.index import ENTRY_SCHEMA, RlcIndex
 from repro.core.labels import Seq, encode, is_primitive
 from repro.core.sequential import Adjacency, SequentialRlcIndex
@@ -16,6 +18,18 @@ from repro.core.sequential import Adjacency, SequentialRlcIndex
 #: Labels that break string-joined MRs (",") or SQL quoting ("it's"), plus
 #: non-ASCII and the empty label.
 HOSTILE_LABELS = ["a", "b", ",", "it's", "é", ""]
+
+#: A label containing the MR separator ``,``: ``("a,b",)`` and ``("a", "b")``
+#: are different sequences, and no vertex reaches itself by a power of
+#: either. Each query is listed with its answer.
+COMMA_EDGES = [(0, "a,b", 1), (1, "a", 2), (2, "b", 0)]
+COMMA_QUERIES = [
+    ((0, 1, ("a,b",)), True),
+    ((1, 0, ("a", "b")), True),
+    ((0, 2, ("a,b",)), False),
+]
+
+T = TypeVar("T")
 
 
 def load_file(path: pathlib.Path) -> ModuleType:
@@ -50,6 +64,83 @@ def rand_adjacency(
 
 def adjacency_edges(out_adj: Adjacency) -> list[tuple[int, str, int]]:
     return [(s, lbl, t) for s, nb in out_adj.items() for lbl, t in nb]
+
+
+def out_adjacency(edges: list[tuple[int, str, int]]) -> Adjacency:
+    """The out-adjacency of an edge list, with every endpoint as a key."""
+    out_adj: Adjacency = {}
+    for s, lbl, t in edges:
+        out_adj.setdefault(s, []).append((lbl, t))
+        out_adj.setdefault(t, [])
+    return out_adj
+
+
+def edge_case_graphs() -> dict[str, tuple[list[tuple[int, str, int]], int]]:
+    """Edge lists and k for the Spark fixpoints' corner cases."""
+    rng = random.Random(11)
+    labels = [lbl for lbl in HOSTILE_LABELS if "," not in lbl]
+    hostile, _ = rand_adjacency(rng, 8, 20, labels, loops=3)
+    return {
+        "empty": ([], 2),
+        "self_loops": ([(0, "a", 0), (0, "b", 0), (1, "a", 1), (2, "", 2)], 3),
+        "one_edge": ([(0, "a", 1)], 2),
+        "hostile_k2": (adjacency_edges(hostile), 2),
+        "hostile_k3": (adjacency_edges(hostile), 3),
+    }
+
+
+def brute_concat_plus(out_adj: Adjacency, s: int, t: int, a: str, b: str) -> bool:
+    """Ground truth for a+ . b+ : v reachable from s via a-edges (>=1), t
+    reachable from v via b-edges (>=1)."""
+    def reach(frontier, lbl):
+        seen = set()
+        stack = list(frontier)
+        while stack:
+            v = stack.pop()
+            for l, w in out_adj.get(v, ()):
+                if l == lbl and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    mid = reach([s], a)
+    return t in reach(mid, b)
+
+
+class RecordingBudget(Budget):
+    """A :class:`Budget` that records every ``check`` as
+    ``(iteration, rows)``."""
+
+    def start(self) -> "RecordingBudget":
+        self.checks = []
+        return super().start()
+
+    def check(self, rows: int, iteration: int, what: str) -> None:
+        self.checks.append((iteration, rows))
+        super().check(rows, iteration, what)
+
+
+def fixpoint_records(caplog, what: str) -> list[tuple[int, int, int, float]]:
+    """The ``(iteration, delta_rows, total_rows, seconds)`` records that
+    :func:`repro.core.closure.fixpoint` logged for the loop ``what``."""
+    return [
+        r.args[1:]
+        for r in caplog.records
+        if r.name == "repro.core.closure" and r.args[0] == what
+    ]
+
+
+def spark_jobs(spark: SparkSession, fn: Callable[[], T]) -> tuple[T, int]:
+    """``fn()`` and the number of Spark jobs it started, counted in a job
+    group of its own."""
+    sc = spark.sparkContext
+    group = f"spark-jobs-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 def seeded_graph(seed: int) -> tuple[Adjacency, Adjacency, list[str], int]:
