@@ -80,6 +80,9 @@ def test_q4_hybrid_vs_python(benchmark, setting):
     _, out_adj, index, _ = setting
     labels = sorted({l for nb in out_adj.values() for l, _ in nb})
     a, b = labels[0], labels[1]
-    s = next(iter(out_adj))
-    t = max(out_adj)
-    benchmark(lambda: rlc_eval(index, out_adj, s, t, ("concat_plus", a, b)))
+    # s has an a-out-edge and t a b-in-edge, so neither side is trivially empty.
+    s = min(v for v, nb in out_adj.items() if any(l == a for l, _ in nb))
+    t = max(w for nb in out_adj.values() for l, w in nb if l == b)
+    spec = ("concat_plus", a, b)
+    got = benchmark(lambda: rlc_eval(index, out_adj, s, t, spec))
+    assert got == PythonTraversalEngine(out_adj).evaluate(s, t, spec)

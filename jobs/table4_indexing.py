@@ -1,6 +1,6 @@
 """spark-submit entrypoint: reproduce Table IV (indexing time/size, RLC vs ETC),
-then print each RLC build's stats (insert attempts, prunes, path-table size,
-per-phase seconds).
+then print each RLC build's stats (insert attempts, PR1/PR2 prunes, PR3
+cut-offs, path-table size, per-phase seconds).
 
 Usage:
   spark-submit jobs/table4_indexing.py [--datasets AD,EP,TW,WN,WS] [--k 2]

@@ -20,7 +20,9 @@ All engines share one interface: ``evaluate(s, t, spec) -> bool`` where
 for the extended query ``a+ . b+`` (Q4). Sys1 and Sys2 traverse the same
 graph × query-NFA product (:func:`spec_nfa`). :func:`rlc_eval` evaluates the
 same specs with the RLC index — Q4 via the paper's §VI-C strategy of
-combining an index lookup with an online traversal.
+combining an index lookup with an online traversal, which
+:meth:`SequentialRlcIndex.concat_plus` runs over the index's label-grouped
+out-neighbours.
 """
 from __future__ import annotations
 
@@ -126,25 +128,14 @@ def rlc_eval(
     """Evaluate a Table V query with the RLC index.
 
     ``L+`` is a pure index lookup (Algorithm 1). The extended query
-    ``a+ . b+`` uses the paper's hybrid strategy: an online traversal along
-    ``a``-labeled edges from ``s``, probing the index with ``(v, t, b+)`` at
-    every intermediately visited vertex.
+    ``a+ . b+`` uses the paper's hybrid strategy
+    (:meth:`SequentialRlcIndex.concat_plus`): an online traversal along
+    ``a``-labeled edges from ``s`` that evaluates Algorithm 1 for ``(w, t,
+    b+)`` at every visited vertex ``w``. The traversal walks the index's own
+    copy of the graph, so ``out_adj`` is unused; it stays in the signature
+    the Table V harnesses call.
     """
     if spec[0] == "plus":
         return index.query(s, t, tuple(spec[1]))
     _, a, b = spec
-    # `probed` holds vertices already reached via >= 1 a-edge; s itself is
-    # only probed if an a-cycle leads back to it (a+ needs a nonempty prefix).
-    probed: set[int] = set()
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        for lbl, w in out_adj.get(v, ()):
-            if lbl != a or w in probed:
-                continue
-            # w is reachable from s via a+; the index answers w ~b+~> t.
-            if index.query(w, t, (b,)):
-                return True
-            probed.add(w)
-            stack.append(w)
-    return False
+    return index.concat_plus(s, t, a, b)

@@ -31,6 +31,10 @@ This gives the same answer as the paper's merge join over entry lists
 sorted by ``(aid(hub), mr)``, because that join only ever reports a match
 on entries whose ``mr`` equals ``L``, and ``aid`` is one-to-one on hubs.
 Algorithm 2's PR1 probe is a call to the public :meth:`SequentialRlcIndex.query`.
+The index also keeps its out-neighbours grouped by label, so
+:meth:`SequentialRlcIndex.concat_plus` answers the extended query ``a+ . b+``
+(§VI-C) by walking ``a``-edges only and reading each visited vertex's
+``(b,)`` bucket against ``L_in(t)[(b,)]``, fetched once per query.
 
 Two ambiguities in the paper's pseudocode are resolved as follows (both are
 forced by Theorem 3 / Lemma 5 — see DESIGN.md §3):
@@ -66,6 +70,8 @@ from typing import Iterable
 from repro.core.labels import Seq, is_primitive, mr
 
 Adjacency = dict[int, list[tuple[str, int]]]
+#: Out-neighbours grouped by label: ``{vertex: {label: [vertex, ...]}}``.
+LabelAdjacency = dict[int, dict[str, list[int]]]
 #: Per-vertex entries bucketed by minimum repeat: ``{vertex: {mr: {hub}}}``.
 Entries = dict[int, dict[Seq, set[int]]]
 #: Per-vertex exact paths of length 1..k: ``{vertex: {seq: [vertex, ...]}}``.
@@ -114,12 +120,15 @@ class BuildStats:
     """What one build cost. Every insert attempt is pruned by PR2, or probes
     PR1 (a public :meth:`SequentialRlcIndex.query` call) and is then pruned
     or recorded: ``attempts = pr2_pruned + probes`` and ``probes =
-    pr1_pruned + recorded``."""
+    pr1_pruned + recorded``. ``pr3_cut`` counts the pruned attempts past
+    which the kernel-BFS does not expand (PR3), so ``pr3_cut <= pr1_pruned
+    + pr2_pruned``."""
 
     attempts: int
     pr2_pruned: int
     probes: int
     pr1_pruned: int
+    pr3_cut: int
     recorded: int
     table_states: int  # (vertex, seq, vertex) triples in both path tables
     table_s: float  # path-table enumeration
@@ -130,13 +139,20 @@ class SequentialRlcIndex:
     """The RLC index of Definition 4, built by a hop-lifted Algorithm 2.
 
     ``stats`` holds the :class:`BuildStats` of the build (None for an index
-    wrapped by :meth:`from_entries`).
+    wrapped by :meth:`from_entries`). ``out_by_label`` holds the graph's
+    out-neighbours grouped by label (None for an index wrapped by
+    :meth:`from_entries`, which has no graph).
     """
 
     def __init__(self, out_adj: Adjacency, in_adj: Adjacency, k: int):
         self.k = k
         self.out_adj = out_adj
         self.in_adj = in_adj
+        self.out_by_label: LabelAdjacency | None = {}
+        for v, nb in out_adj.items():
+            by_label = self.out_by_label[v] = {}
+            for lbl, w in nb:
+                by_label.setdefault(lbl, []).append(w)
         self.aid = inout_order(out_adj, in_adj)
         self.l_out: Entries = {}
         self.l_in: Entries = {}
@@ -159,6 +175,7 @@ class SequentialRlcIndex:
         self.k = k
         self.out_adj = {}
         self.in_adj = {}
+        self.out_by_label = None
         self.aid = aid
         self.l_out = {}
         self.l_in = {}
@@ -185,6 +202,36 @@ class SequentialRlcIndex:
         in_t = self.l_in.get(t, _NO_BUCKETS).get(L, _NO_HUBS)
         # Case 2 of Definition 4: a direct entry; Case 1: a shared hub.
         return t in out_s or s in in_t or not out_s.isdisjoint(in_t)
+
+    # -- §VI-C: the extended query a+ . b+ -----------------------------------
+    def concat_plus(self, s: int, t: int, a: str, b: str) -> bool:
+        """Evaluate ``(s, t, a+ . b+)``: a DFS from ``s`` along ``a``-edges,
+        and at every vertex ``w`` it reaches Algorithm 1 for ``(w, t, b+)``.
+
+        ``s`` itself counts only when an ``a``-cycle leads back to it, since
+        ``a+`` needs a nonempty prefix. Raises ValueError on an index without
+        a graph (:meth:`from_entries`); an unknown ``s`` or ``t`` answers
+        False.
+        """
+        succ = self.out_by_label
+        if succ is None:
+            raise ValueError("a+ . b+ needs the graph; this index was wrapped from entries")
+        L = (b,)
+        l_out = self.l_out
+        in_t = self.l_in.get(t, _NO_BUCKETS).get(L, _NO_HUBS)
+        seen: set[int] = set()
+        stack = [s]
+        while stack:
+            for w in succ.get(stack.pop(), _NO_BUCKETS).get(a, ()):
+                if w in seen:
+                    continue
+                seen.add(w)
+                # query(w, t, (b,)), with in_t fetched once per query.
+                out_w = l_out.get(w, _NO_BUCKETS).get(L, _NO_HUBS)
+                if w in in_t or t in out_w or not out_w.isdisjoint(in_t):
+                    return True
+                stack.append(w)
+        return False
 
     def entries(self) -> tuple[dict[int, set[tuple[int, Seq]]], dict[int, set[tuple[int, Seq]]]]:
         """Index contents as ``{vertex: {(hub, mr)}}`` for L_out and L_in."""
@@ -226,7 +273,7 @@ class SequentialRlcIndex:
         query = self.query  # PR1 is a call to the public API
         # MR of every table sequence: at most |labels|^k distinct keys.
         mrs: dict[Seq, Seq] = {}
-        attempts = pr2 = pr1 = recorded = 0
+        attempts = pr2 = pr1 = pr3 = recorded = 0
         for root in sorted(aid, key=aid.get):
             rank = aid[root]
             for table, side, backward in tables:
@@ -255,7 +302,11 @@ class SequentialRlcIndex:
                         # Seeds expand even when pruned; a later vertex only
                         # when recorded (PR3). PR2 is static and PR1 only
                         # grows, so a pruned vertex stays pruned: it is seen.
-                        frontier, seeding = (batch if seeding else kept), False
+                        if seeding:
+                            frontier, seeding = batch, False
+                        else:
+                            frontier = kept
+                            pr3 += len(batch) - len(kept)
                         batch = []
                         for x in frontier:
                             for y in table.get(x, _NO_BUCKETS).get(L, ()):
@@ -269,6 +320,7 @@ class SequentialRlcIndex:
             pr2_pruned=pr2,
             probes=attempts - pr2,
             pr1_pruned=pr1,
+            pr3_cut=pr3,
             recorded=recorded,
             table_states=states,
             table_s=t1 - t0,
@@ -299,6 +351,7 @@ class Algorithm2Index(SequentialRlcIndex):
             pr2_pruned=n["pr2"],
             probes=n["probe"],
             pr1_pruned=n["pr1"],
+            pr3_cut=n["pr3"],
             recorded=n["recorded"],
             table_states=0,
             table_s=0.0,
@@ -369,6 +422,7 @@ class Algorithm2Index(SequentialRlcIndex):
                     if (y, j2) in visited:
                         continue
                     if j == 1 and not self._insert(y, root, L, backward):
+                        self._tally["pr3"] += 1
                         continue  # PR3: pruned completion — skip y entirely
                     visited.add((y, j2))
                     queue.append((y, j2))

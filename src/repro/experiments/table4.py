@@ -7,7 +7,7 @@ Two builders per graph analog:
   entries as the paper's search, and single-threaded like the paper's own
   implementation, so it is the IT/IS subject). Its
   :class:`repro.core.sequential.BuildStats` (insert attempts, PR1/PR2
-  prunes, path-table size, per-phase time) are kept per row;
+  prunes, PR3 cut-offs, path-table size, per-phase time) are kept per row;
 - **ETC** — the distributed concise transitive closure under a
   :class:`repro.core.closure.Budget`; "-" marks budget exhaustion, the
   analogue of the paper's 24-hour timeout (ETC finished only on AD there).
@@ -112,16 +112,16 @@ def format_table(rows: list[dict]) -> str:
 def format_stats(rows: list[dict]) -> str:
     """The RLC builds' :class:`~repro.core.sequential.BuildStats`."""
     lines = [
-        "RLC build stats — insert attempts, PR2/PR1 prunes, recorded entries,"
-        " path-table size and per-phase seconds",
+        "RLC build stats — insert attempts, PR2/PR1 prunes, PR3 cut-offs,"
+        " recorded entries, path-table size and per-phase seconds",
         f"{'graph':<6} | {'attempts':>10} {'PR2':>10} {'probes':>10} {'PR1':>10}"
-        f" {'recorded':>9} | {'table':>9} {'table s':>8} {'search s':>9}",
+        f" {'PR3 cut':>10} {'recorded':>9} | {'table':>9} {'table s':>8} {'search s':>9}",
     ]
     for r in rows:
         st = r["rlc_stats"]
         lines.append(
             f"{r['name']:<6} | {st.attempts:>10} {st.pr2_pruned:>10} {st.probes:>10}"
-            f" {st.pr1_pruned:>10} {st.recorded:>9} | {st.table_states:>9}"
+            f" {st.pr1_pruned:>10} {st.pr3_cut:>10} {st.recorded:>9} | {st.table_states:>9}"
             f" {st.table_s:>8.2f} {st.search_s:>9.2f}"
         )
     return "\n".join(lines)

@@ -1,5 +1,7 @@
 """Tests for the Table V engine stand-ins: all engines must agree with the
 ground truth (and hence with each other) on L+ and a+.b+ queries."""
+import random
+
 import pytest
 
 from repro.baselines.engines import (
@@ -12,7 +14,17 @@ from repro.core.graph import LabeledGraph
 from repro.core.labels import all_mrs
 from repro.core.sequential import SequentialRlcIndex, brute_force_closure
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
-from tests.util import COMMA_EDGES, COMMA_QUERIES, brute_concat_plus, query_universe
+from tests.util import (
+    COMMA_EDGES,
+    COMMA_QUERIES,
+    HOSTILE_LABELS,
+    adjacency_edges,
+    brute_concat_plus,
+    edge_case_graphs,
+    query_universe,
+    rand_adjacency,
+    seeded_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +129,87 @@ def test_rlc_eval_hybrid_q4(fig2_driver, a, b):
         for t in range(1, 7):
             want = brute_concat_plus(out_adj, s, t, a, b)
             assert rlc_eval(idx, out_adj, s, t, ("concat_plus", a, b)) == want, (s, t)
+
+
+def probe_traversal(idx: SequentialRlcIndex, s: int, t: int, a: str, b: str) -> bool:
+    """The hybrid Q4 that ``concat_plus`` replaces, kept as its reference: a
+    DFS over every out-edge filtered on ``a``, with one public ``query(w, t,
+    (b,))`` call per visited vertex."""
+    probed: set[int] = set()
+    stack = [s]
+    while stack:
+        for lbl, w in idx.out_adj.get(stack.pop(), ()):
+            if lbl != a or w in probed:
+                continue
+            if idx.query(w, t, (b,)):
+                return True
+            probed.add(w)
+            stack.append(w)
+    return False
+
+
+def q4_graphs() -> dict[str, tuple[list[tuple[int, str, int]], int]]:
+    """Edge lists and k: the Spark fixpoints' corner cases, every label of
+    ``HOSTILE_LABELS`` (``,`` included) and seeded random graphs."""
+    graphs = edge_case_graphs()
+    hostile, _ = rand_adjacency(random.Random(5), 9, 30, HOSTILE_LABELS, loops=4)
+    graphs["all_hostile_k1"] = (adjacency_edges(hostile), 1)
+    for seed in range(12):
+        out_adj, _, _, k = seeded_graph(seed)
+        graphs[f"seed{seed}"] = (adjacency_edges(out_adj), k)
+    return graphs
+
+
+Q4_GRAPHS = q4_graphs()
+
+
+def test_q4_graphs_cover_every_k():
+    assert {k for _, k in Q4_GRAPHS.values()} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("name", sorted(Q4_GRAPHS))
+def test_concat_plus_matches_probe_traversal(name):
+    # Every ordered label pair (a == b included) plus a label absent from the
+    # graph; every (s, t), s == t included, plus a vertex absent from it.
+    edges, k = Q4_GRAPHS[name]
+    vertices = {v for s, _, t in edges for v in (s, t)}
+    out_adj = {v: [] for v in vertices}
+    in_adj = {v: [] for v in vertices}
+    for s, lbl, t in edges:
+        out_adj[s].append((lbl, t))
+        in_adj[t].append((lbl, s))
+    idx = SequentialRlcIndex(out_adj, in_adj, k)
+    labels = sorted({lbl for _, lbl, _ in edges}) + ["absent"]
+    ends = sorted(vertices) + [max(vertices, default=0) + 1]
+    answers = set()
+    for a in labels:
+        for b in labels:
+            for s in ends:
+                for t in ends:
+                    got = idx.concat_plus(s, t, a, b)
+                    assert got is brute_concat_plus(out_adj, s, t, a, b), (a, b, s, t)
+                    assert got is probe_traversal(idx, s, t, a, b), (a, b, s, t)
+                    assert rlc_eval(idx, out_adj, s, t, ("concat_plus", a, b)) is got
+                    answers.add(got)
+    assert answers == ({False} if name in ("empty", "one_edge") else {True, False})
+
+
+def test_concat_plus_needs_a_graph(fig2_driver):
+    # An index wrapped from entries (RlcIndex.to_driver) has no adjacency:
+    # Q4 must raise, not answer False.
+    idx = SequentialRlcIndex(*fig2_driver, 2)
+    lo, li = idx.entries()
+    clone = SequentialRlcIndex.from_entries(
+        idx.aid, 2,
+        [(v, h, m) for v, es in lo.items() for h, m in es],
+        [(v, h, m) for v, es in li.items() for h, m in es],
+    )
+    assert idx.concat_plus(3, 1, "l2", "l1")
+    with pytest.raises(ValueError):
+        clone.concat_plus(3, 1, "l2", "l1")
+    with pytest.raises(ValueError):
+        rlc_eval(clone, fig2_driver[0], 3, 1, ("concat_plus", "l2", "l1"))
+    assert rlc_eval(clone, fig2_driver[0], 3, 6, ("plus", ("l2", "l1")))
 
 
 def test_spark_sql_engine(spark, truth):

@@ -32,6 +32,7 @@ def test_table4_run_tiny(spark):
     assert row["etc_it"] is not None and row["etc_entries"] > row["rlc_seq_entries"]
     assert "Table IV" in table4.format_table(rows)
     assert f" {row['rlc_seq_entries']} " in table4.format_stats(rows)
+    assert f" {row['rlc_stats'].pr3_cut} " in table4.format_stats(rows)
 
 
 def test_table4_etc_budget_exhaustion(spark):

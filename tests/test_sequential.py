@@ -251,6 +251,8 @@ def assert_stats_invariants(idx) -> None:
     st = idx.stats
     assert st.probes == st.pr1_pruned + st.recorded
     assert st.attempts == st.pr2_pruned + st.pr1_pruned + st.recorded
+    # A PR3 cut-off is a pruned attempt that the kernel-BFS does not expand.
+    assert 0 <= st.pr3_cut <= st.pr1_pruned + st.pr2_pruned
     assert st.recorded == idx.entry_count()
     assert st.table_s >= 0 and st.search_s >= 0
 
@@ -273,10 +275,14 @@ def test_build_stats_invariants(seed):
     )
     alg2 = Algorithm2Index(out_adj, in_adj, k)
     assert_stats_invariants(alg2)
-    # Algorithm 2 re-probes completions the hop-lifted search marks as seen.
+    # Algorithm 2 re-probes completions the hop-lifted search marks as seen,
+    # and cuts a pruned one off again each time it reaches it.
     assert alg2.stats.probes >= idx.stats.probes
+    assert alg2.stats.pr3_cut >= idx.stats.pr3_cut
     if seed is None:
-        assert (idx.stats.probes, idx.stats.pr1_pruned, idx.stats.recorded) == (51, 25, 26)
+        st = idx.stats
+        assert (st.probes, st.pr1_pruned, st.pr3_cut, st.recorded) == (51, 25, 21, 26)
+        assert alg2.stats.pr3_cut == 21
 
 
 @pytest.mark.parametrize("seed", range(5))
