@@ -6,22 +6,29 @@ rules PR1/PR2/PR3).
 Table IV and V subject (the paper's implementation is single-threaded Java;
 this is its Python twin), and the source of the entries that
 :class:`repro.core.index.RlcIndex` answers batch queries from. Its search is
-Algorithm 2 *hop-lifted*: every ``u ~L+~> v`` path splits into exact-``L``
-hops (§IV), so once per build and per direction it enumerates every
-vertex's exact paths of length 1..k (:func:`path_table`), reads each root's
-kernel-search off its row of that table, and runs each kernel-BFS over
-completion vertices only, stepping from ``x`` to ``table[x][L]``. It
-records the same entries as the paper's search, which
-:class:`Algorithm2Index` keeps verbatim (the kernel-BFS label state machine)
-as Table II's artifact and the tests' oracle. The two searches differ only
-in how often they probe: a completion the paper's kernel-BFS prunes is
-probed again each time it is reached, while the hop-lifted search marks it
-seen. That cannot change an entry. PR2 is static and PR1 only ever grows
-the index, so a pruned completion stays pruned. And within one search the
-probe order cannot change an answer: a backward search from ``root`` writes
-only ``(root, L)`` into ``L_out(y)``, while its probe ``query(y, root, L)``
-reads ``L_out(y)`` and ``L_in(root)`` (the forward search is the mirror
-case). Each build leaves its cost in ``stats`` (:class:`BuildStats`).
+pruned landmark labeling of each minimum repeat's hop graph (Akiba, Iwata,
+Yoshida, SIGMOD 2013; the reachability form is Yano et al., CIKM 2013):
+``u ~L+~> v`` iff ``v`` is reachable from ``u`` in one or more hops of
+``R_L``, the pairs joined by a path spelling exactly ``L`` (§IV). Once per
+build and per direction, :func:`path_table` enumerates ``R_L`` for every
+primitive ``L`` of length at most ``k``. Per root in IN-OUT order and per
+``L`` in the root's row, a BFS over ``R_L`` starts at ``table[root][L]``,
+attempts each vertex it reaches once (PR2, then the PR1 probe, else record)
+and expands only the vertices it recorded. It records the same entries as
+the paper's search, which :class:`Algorithm2Index` keeps verbatim as Table
+II's artifact and the tests' oracle. The two searches differ only in how
+often they probe. Algorithm 2 also seeds the kernel-BFS with the deeper
+powers ``LL``, ``LLL``, … of the kernel-search, expands a seed even when it
+is pruned, and probes a pruned completion again each time it reaches it.
+None of that can record an entry. A vertex ``y`` that PR2 or PR1 prunes has
+a higher-ranked hub on a ``root``–``y`` path in ``R_L``, so every vertex
+past ``y`` is already covered through that hub, and PR1 prunes it too. PR2
+is static and PR1 only grows the index, so a pruned vertex stays pruned.
+Within one search the probe order cannot change an answer: a backward
+search from ``root`` writes only ``(root, L)`` into ``L_out(y)``, while its
+probe ``query(y, root, L)`` reads ``L_out(y)`` and ``L_in(root)`` (the
+forward search is the mirror case). DESIGN.md §3 has the proof sketch. Each
+build leaves its cost in ``stats`` (:class:`BuildStats`).
 
 Entries are stored bucketed per vertex as ``{mr: {hub}}``, the hub-label
 layout of pruned landmark labeling (Akiba, Iwata, Yoshida, SIGMOD 2013).
@@ -36,22 +43,13 @@ The index also keeps its out-neighbours grouped by label, so
 (§VI-C) by walking ``a``-edges only and reading each visited vertex's
 ``(b,)`` bucket against ``L_in(t)[(b,)]``, fetched once per query.
 
-Two ambiguities in the paper's pseudocode are resolved as follows (both are
-forced by Theorem 3 / Lemma 5 — see DESIGN.md §3):
-
-- Algorithm 2 line 34-35 (`if i=1 and insert(...) then continue`) is
-  implemented as *continue on prune*: when a completed repeat's entry is
-  pruned by PR1/PR2 the search does not expand past that vertex (that is
-  PR3); when the entry is recorded the search continues. Stopping on a
-  *successful* insert would strand vertices further along the path with no
-  entry and no coverage.
-- The kernel-BFS of kernel ``L`` is seeded with every vertex whose
-  kernel-search sequence is an exact power of ``L`` (every sequence is an
-  exact power of its MR, so this is "the frontier of kernel candidate
-  ``MR(seq)``"), each marked visited in the completed state and expanded
-  whether or not its own entry was pruned. Seeding only depth-``|L|``
-  vertices breaks completeness when a deeper exact-power vertex is
-  PR3-pruned through one branch but extensible through another.
+Algorithm 2 line 34-35 (`if i=1 and insert(...) then continue`) is
+ambiguous in the paper's pseudocode. Both builders implement it as *continue
+on prune*: when a completed repeat's entry is pruned by PR1/PR2 the search
+does not expand past that vertex (that is PR3); when the entry is recorded
+the search continues. Stopping on a *successful* insert would strand
+vertices further along the path with no entry and no coverage (forced by
+Theorem 3 / Lemma 5, see DESIGN.md §3).
 
 Also contains :func:`brute_force_closure` — an exponential-free reference for
 the concise transitive closure ``S^k`` used as ground truth in tests, built on
@@ -74,7 +72,8 @@ Adjacency = dict[int, list[tuple[str, int]]]
 LabelAdjacency = dict[int, dict[str, list[int]]]
 #: Per-vertex entries bucketed by minimum repeat: ``{vertex: {mr: {hub}}}``.
 Entries = dict[int, dict[Seq, set[int]]]
-#: Per-vertex exact paths of length 1..k: ``{vertex: {seq: [vertex, ...]}}``.
+#: The hop relation per vertex, primitive exact paths of length 1..k:
+#: ``{vertex: {L: [vertex, ...]}}``.
 PathTable = dict[int, dict[Seq, list[int]]]
 
 _NO_BUCKETS = MappingProxyType({})
@@ -93,12 +92,15 @@ def inout_order(out_adj: Adjacency, in_adj: Adjacency) -> dict[int, int]:
 
 
 def path_table(adj: Adjacency, k: int, backward: bool = False) -> PathTable:
-    """Every vertex's exact paths of length 1..k, one BFS over ``(vertex,
-    seq)`` per vertex. Over ``out_adj``, ``table[x][seq]`` lists the ``y``
-    with a path ``x -> y`` spelling ``seq``; with ``backward=True`` over
-    ``in_adj`` it lists the ``y`` with a path ``y -> x`` spelling ``seq``
-    (read in edge direction). Its primitive sequences are the hop relation
-    ``closure.mr_hops`` computes in Spark."""
+    """Every vertex's exact paths of length 1..k that spell a primitive
+    sequence, one BFS over ``(vertex, seq)`` per vertex. Over ``out_adj``,
+    ``table[x][L]`` lists the ``y`` with a path ``x -> y`` spelling ``L``;
+    with ``backward=True`` over ``in_adj`` it lists the ``y`` with a path
+    ``y -> x`` spelling ``L`` (read in edge direction). It is the hop
+    relation ``R_L`` for every ``L`` at once, which ``closure.mr_hops``
+    computes in Spark."""
+    # is_primitive of every sequence seen: at most |labels|^k distinct keys.
+    primitive: dict[Seq, bool] = {}
     table: PathTable = {}
     for x in adj:
         row: dict[Seq, list[int]] = {}
@@ -110,7 +112,12 @@ def path_table(adj: Adjacency, k: int, backward: bool = False) -> PathTable:
                     for lbl, y in adj.get(z, ()):
                         nxt[(lbl,) + seq if backward else seq + (lbl,)].add(y)
             level = nxt
-            row.update((seq, list(ys)) for seq, ys in nxt.items())
+            for seq, ys in nxt.items():
+                p = primitive.get(seq)
+                if p is None:
+                    p = primitive[seq] = is_primitive(seq)
+                if p:
+                    row[seq] = list(ys)
         table[x] = row
     return table
 
@@ -121,8 +128,9 @@ class BuildStats:
     PR1 (a public :meth:`SequentialRlcIndex.query` call) and is then pruned
     or recorded: ``attempts = pr2_pruned + probes`` and ``probes =
     pr1_pruned + recorded``. ``pr3_cut`` counts the pruned attempts past
-    which the kernel-BFS does not expand (PR3), so ``pr3_cut <= pr1_pruned
-    + pr2_pruned``."""
+    which the search does not expand (PR3). :class:`SequentialRlcIndex`
+    expands no pruned vertex, so there ``pr3_cut = pr1_pruned +
+    pr2_pruned``; :class:`Algorithm2Index` counts its own, at most that."""
 
     attempts: int
     pr2_pruned: int
@@ -130,13 +138,14 @@ class BuildStats:
     pr1_pruned: int
     pr3_cut: int
     recorded: int
-    table_states: int  # (vertex, seq, vertex) triples in both path tables
+    table_states: int  # (vertex, L, vertex) hop-relation triples, both directions
     table_s: float  # path-table enumeration
-    search_s: float  # kernel-based search, PR1 probes included
+    search_s: float  # the search, PR1 probes included
 
 
 class SequentialRlcIndex:
-    """The RLC index of Definition 4, built by a hop-lifted Algorithm 2.
+    """The RLC index of Definition 4, built by pruned labeling of each hop
+    graph ``R_L``.
 
     ``stats`` holds the :class:`BuildStats` of the build (None for an index
     wrapped by :meth:`from_entries`). ``out_by_label`` holds the graph's
@@ -253,14 +262,15 @@ class SequentialRlcIndex:
             for m, hs in b.items()
         )
 
-    # -- index construction: hop-lifted kernel-based search -----------------
+    # -- index construction: pruned labeling of each hop graph -------------
     def _build(self) -> None:
-        """Algorithm 2's kernel-based search, taking each ``L`` hop whole.
+        """Pruned landmark labeling of each hop graph ``R_L``, roots in IN-OUT
+        order.
 
-        The kernel-search of ``root`` is its row of the exact-path table, and
-        the kernel-BFS of kernel ``L`` steps from a vertex ``x`` straight to
-        ``table[x][L]``: no intermediate automaton states, no label filter.
-        Each ``(vertex, L)`` is attempted at most once per search.
+        From each root and for each ``L`` in its row of the hop table, a BFS
+        over ``R_L`` starts at ``table[root][L]``. Each vertex it reaches is
+        attempted once: PR2, then the PR1 probe, else recorded. Only
+        recorded vertices are expanded, through ``table[x][L]``.
         """
         t0 = time.perf_counter()
         tables = (
@@ -271,48 +281,28 @@ class SequentialRlcIndex:
         t1 = time.perf_counter()
         aid = self.aid
         query = self.query  # PR1 is a call to the public API
-        # MR of every table sequence: at most |labels|^k distinct keys.
-        mrs: dict[Seq, Seq] = {}
-        attempts = pr2 = pr1 = pr3 = recorded = 0
+        attempts = pr2 = pr1 = recorded = 0
         for root in sorted(aid, key=aid.get):
             rank = aid[root]
             for table, side, backward in tables:
-                # Kernel-search: every sequence is an exact power of its MR,
-                # so the vertices it reaches seed the kernel-BFS of that MR.
-                seeds: dict[Seq, set[int]] = {}
-                for seq, ys in table.get(root, _NO_BUCKETS).items():
-                    L = mrs.get(seq)
-                    if L is None:
-                        L = mrs[seq] = mr(seq)
-                    seeds.setdefault(L, set()).update(ys)
-                for L, seen in seeds.items():
-                    batch = list(seen)
-                    seeding = True
-                    while batch:
-                        kept = []
-                        for y in batch:
-                            if aid[y] < rank:  # PR2
-                                pr2 += 1
-                            elif query(y, root, L) if backward else query(root, y, L):
-                                pr1 += 1  # PR1 (also dedups identical entries)
-                            else:
-                                side.setdefault(y, {}).setdefault(L, set()).add(root)
-                                kept.append(y)
-                        recorded += len(kept)
-                        # Seeds expand even when pruned; a later vertex only
-                        # when recorded (PR3). PR2 is static and PR1 only
-                        # grows, so a pruned vertex stays pruned: it is seen.
-                        if seeding:
-                            frontier, seeding = batch, False
+                for L, ys in table.get(root, _NO_BUCKETS).items():
+                    seen = set(ys)
+                    queue = deque(ys)
+                    while queue:
+                        y = queue.popleft()
+                        if aid[y] < rank:  # PR2
+                            pr2 += 1
+                        elif query(y, root, L) if backward else query(root, y, L):
+                            pr1 += 1  # PR1 (also dedups identical entries)
                         else:
-                            frontier = kept
-                            pr3 += len(batch) - len(kept)
-                        batch = []
-                        for x in frontier:
-                            for y in table.get(x, _NO_BUCKETS).get(L, ()):
-                                if y not in seen:
-                                    seen.add(y)
-                                    batch.append(y)
+                            side.setdefault(y, {}).setdefault(L, set()).add(root)
+                            recorded += 1
+                            # Only a recorded vertex expands; a pruned one is
+                            # covered by a higher-ranked hub (PR3).
+                            for z in table.get(y, _NO_BUCKETS).get(L, ()):
+                                if z not in seen:
+                                    seen.add(z)
+                                    queue.append(z)
                     attempts += len(seen)
         t2 = time.perf_counter()
         self.stats = BuildStats(
@@ -320,7 +310,7 @@ class SequentialRlcIndex:
             pr2_pruned=pr2,
             probes=attempts - pr2,
             pr1_pruned=pr1,
-            pr3_cut=pr3,
+            pr3_cut=pr1 + pr2,
             recorded=recorded,
             table_states=states,
             table_s=t1 - t0,
@@ -333,7 +323,18 @@ class Algorithm2Index(SequentialRlcIndex):
     seq)`` states, then a kernel-BFS that walks each kernel's label state
     machine one edge at a time and re-probes a completion every time it is
     reached. Table II's artifact and the entry-for-entry oracle of
-    :class:`SequentialRlcIndex`'s search; ``stats`` has no path table."""
+    :class:`SequentialRlcIndex`'s search; ``stats`` has no path table.
+
+    The kernel-BFS of kernel ``L`` is seeded with every vertex whose
+    kernel-search sequence is an exact power of ``L`` (every sequence is an
+    exact power of its MR, so this is "the frontier of kernel candidate
+    ``MR(seq)``"), each marked visited in the completed state and expanded
+    whether or not its own entry was pruned. That is the reading of
+    ``map.get(L).add(x)`` under which Theorem 3's proof goes through: seeding
+    only depth-``|L|`` vertices breaks completeness when a deeper
+    exact-power vertex is PR3-pruned through one branch but extensible
+    through another. The hop-graph search needs neither rule (DESIGN.md §3).
+    """
 
     def _build(self) -> None:
         t0 = time.perf_counter()

@@ -2,12 +2,12 @@
 
 Two builders per graph analog:
 
-- **RLC** — the paper's Algorithm 2 with each ``L`` hop of its kernel-BFS
-  taken whole (:class:`repro.core.sequential.SequentialRlcIndex`; the same
-  entries as the paper's search, and single-threaded like the paper's own
+- **RLC** — pruned labeling of each minimum repeat's hop graph
+  (:class:`repro.core.sequential.SequentialRlcIndex`; the same entries as
+  the paper's Algorithm 2, and single-threaded like the paper's own
   implementation, so it is the IT/IS subject). Its
   :class:`repro.core.sequential.BuildStats` (insert attempts, PR1/PR2
-  prunes, PR3 cut-offs, path-table size, per-phase time) are kept per row;
+  prunes, PR3 cut-offs, hop-table size, per-phase time) are kept per row;
 - **ETC** — the distributed concise transitive closure under a
   :class:`repro.core.closure.Budget`; "-" marks budget exhaustion, the
   analogue of the paper's 24-hour timeout (ETC finished only on AD there).

@@ -113,12 +113,11 @@ def test_mr_hops_plans_no_python_udf(spark, fig2):
 
 
 def builder_hops(out_adj: Adjacency, k: int) -> set[tuple[Seq, int, int]]:
-    """The primitive part of the RLC builder's exact-path table."""
+    """The RLC builder's hop table, which keeps only primitive sequences."""
     return {
         (seq, x, y)
         for x, row in path_table(out_adj, k).items()
         for seq, ys in row.items()
-        if is_primitive(seq)
         for y in ys
     }
 
@@ -126,7 +125,7 @@ def builder_hops(out_adj: Adjacency, k: int) -> set[tuple[Seq, int, int]]:
 @pytest.mark.parametrize("graph", K3_GRAPHS)
 def test_mr_hops_matches_driver_reference(spark, graph):
     """One hop relation: ETC's ``mr_hops`` equals both the independent
-    driver enumeration and the primitive part of the RLC builder's table."""
+    driver enumeration and the RLC builder's hop table."""
     edges = K3_GRAPHS[graph]
     g = LabeledGraph.from_edge_list(spark, edges)
     got = {(tuple(r.mr), r.src, r.dst) for r in mr_hops(g, 3).collect()}

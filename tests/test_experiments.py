@@ -1,5 +1,6 @@
 """Smoke tests for the per-table experiment drivers (tiny scales)."""
 import math
+import time
 
 import pytest
 
@@ -54,6 +55,22 @@ def test_table5_run_tiny(spark):
             su, bep = result["su_bep"][(eng, qtype)]
             assert su > 0 and (bep > 0 or math.isinf(bep))
     assert "Table V" in table5.format_table(result)
+
+
+def test_table5_median_time_takes_the_middle_pass():
+    """A cell is the median pass, so one slow pass does not move it."""
+    calls = []
+    delays = iter([0.0, 0.0, 0.05, 0.0, 0.0, 0.0])  # pass 2's first query is slow
+
+    def fn(q):
+        calls.append(q)
+        time.sleep(next(delays))
+        return q % 2 == 0
+
+    t, answers = table5._median_time(fn, [0, 1], passes=3)
+    assert calls == [0, 1] * 3
+    assert answers == [True, False]
+    assert t < 0.01
 
 
 def test_table5_format_bep_below_one():

@@ -1,11 +1,11 @@
-"""Tests for the driver RLC index: Algorithm 1 and the hop-lifted Algorithm 2.
+"""Tests for the driver RLC index: Algorithm 1 and the pruned hop-graph labeling.
 
 The strongest check here is the exact reproduction of the paper's Table II
 (the full RLC index contents for the Fig. 2 graph with k=2), followed by
 fuzzing against the brute-force concise closure: sound + complete (Theorem 3)
-and condensed (Theorem 2) on seeded random graphs. The hop-lifted builder
-(:class:`SequentialRlcIndex`) must record the same entries as the paper's
-Algorithm 2 verbatim (:class:`Algorithm2Index`).
+and condensed (Theorem 2) on seeded random graphs. The fast builder
+(:class:`SequentialRlcIndex`, a pruned BFS over each hop graph) must record
+the same entries as the paper's Algorithm 2 verbatim (:class:`Algorithm2Index`).
 """
 import random
 
@@ -236,10 +236,10 @@ def test_pr1_probe_accounting_fig2():
     # Every PR1 probe is a public query() call; a probe either prunes the
     # entry or precedes its insert.
     idx = ProbeCountingIndex(*fig2_adjacency(), k=2)
-    assert (idx.probes, idx.pruned, idx.entry_count()) == (51, 25, 26)
+    assert (idx.probes, idx.pruned, idx.entry_count()) == (34, 8, 26)
 
 
-# ---- the hop-lifted search against Algorithm 2 -----------------------------
+# ---- the pruned hop-graph search against Algorithm 2 ----------------------
 
 def test_algorithm2_oracle_on_fig2(fig2_index):
     alg2 = Algorithm2Index(*fig2_adjacency(), k=2)
@@ -267,6 +267,9 @@ def test_build_stats_invariants(seed):
     assert_stats_invariants(idx)
     # Counted apart from the public query() calls they stand for.
     assert (idx.stats.probes, idx.stats.pr1_pruned) == (idx.probes, idx.pruned)
+    # Every pruned attempt is cut: only recorded vertices expand.
+    assert idx.stats.pr3_cut == idx.stats.pr1_pruned + idx.stats.pr2_pruned
+    # The hop relation's (vertex, L, vertex) triples, both directions.
     assert idx.stats.table_states == sum(
         len(ys)
         for table in (path_table(out_adj, k), path_table(in_adj, k, backward=True))
@@ -275,14 +278,53 @@ def test_build_stats_invariants(seed):
     )
     alg2 = Algorithm2Index(out_adj, in_adj, k)
     assert_stats_invariants(alg2)
-    # Algorithm 2 re-probes completions the hop-lifted search marks as seen,
-    # and cuts a pruned one off again each time it reaches it.
+    # Algorithm 2 re-probes completions the hop-graph search marks as seen,
+    # and also probes deeper powers and the successors of pruned seeds.
     assert alg2.stats.probes >= idx.stats.probes
-    assert alg2.stats.pr3_cut >= idx.stats.pr3_cut
     if seed is None:
         st = idx.stats
-        assert (st.probes, st.pr1_pruned, st.pr3_cut, st.recorded) == (51, 25, 21, 26)
+        assert (st.probes, st.pr1_pruned, st.pr2_pruned, st.pr3_cut, st.recorded) == (
+            34, 8, 22, 30, 26
+        )
         assert alg2.stats.pr3_cut == 21
+
+
+def expected_attempts(idx: SequentialRlcIndex, out_adj, in_adj) -> int:
+    """Attempts of a search that starts each ``(root, L)`` BFS at
+    ``table[root][L]`` and expands exactly the vertices it recorded: the
+    union of the seeds and the hop successors of the recorded vertices."""
+    k = idx.k
+    total = 0
+    for table, side in (
+        (path_table(in_adj, k, backward=True), idx.l_out),
+        (path_table(out_adj, k), idx.l_in),
+    ):
+        recorded_from: dict = {}
+        for y, buckets in side.items():
+            for L, hubs in buckets.items():
+                for root in hubs:
+                    recorded_from.setdefault((root, L), []).append(y)
+        for root, row in table.items():
+            for L, ys in row.items():
+                reached = set(ys)
+                for y in recorded_from.get((root, L), ()):
+                    reached.update(table.get(y, {}).get(L, ()))
+                total += len(reached)
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_pruned_vertices_never_expand(seed, k):
+    # The search attempts the seeds and the hop successors of recorded
+    # vertices, nothing else; so it never probes more than Algorithm 2, and
+    # it records the same entries.
+    out_adj, in_adj, _, _ = seeded_graph(seed)
+    idx = SequentialRlcIndex(out_adj, in_adj, k)
+    alg2 = Algorithm2Index(out_adj, in_adj, k)
+    assert idx.entries() == alg2.entries()
+    assert idx.stats.probes <= alg2.stats.probes
+    assert idx.stats.attempts == expected_attempts(idx, out_adj, in_adj)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -301,6 +343,7 @@ UNUSUAL = {
     "only_self_loops": (5, 0, ["a", "b"], 10, 2),
     "isolated": (14, 5, ["a", "b"], 1, 3),  # half the vertices have no edge
     "k1": (15, 40, ["a", "b", "c"], 3, 1),
+    "hostile_labels_k1": (12, 36, HOSTILE_LABELS, 2, 1),
     "hostile_labels_k2": (10, 30, HOSTILE_LABELS, 2, 2),
     "hostile_labels_k3": (8, 24, HOSTILE_LABELS, 2, 3),
     "empty_label_only": (9, 18, [""], 2, 3),
