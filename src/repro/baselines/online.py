@@ -198,7 +198,7 @@ def batch_nfa_bfs(
     final = fixpoint(
         seed,
         lambda state, _: bfs_step(state, trans, graph),
-        budget or Budget(max_iterations=10_000),
+        (budget or Budget(max_iterations=10_000)).start(),
         "batch_nfa_bfs",
     )
     hits = final.where(F.col("state").isNull()).select("qid", F.lit(True).alias("answer"))

@@ -8,25 +8,21 @@ path a→b has label sequence exactly L}``, for ``L`` a primitive sequence of
 length ≤ k (any path whose sequence is ``L^m`` decomposes at repeat
 boundaries into ``R_L`` hops, and ``MR(L^m) = L`` by Fine–Wilf).
 
-So: (1) enumerate all distinct ``(src, dst, seq)`` exact paths of length ≤ k
-with level-wise joins over the label-partitioned edge table; (2) keep the
-primitive sequences as one big hop table keyed by ``mr``, the label array
-itself; (3) run a semi-naive transitive closure with ``mr`` in the join key —
-all labels' closures advance in the same iteration, which is the "edge
-tables partitioned by label" dataflow mapping.
+So: (1) enumerate the hop table, every distinct ``(mr, src, dst)`` with a
+primitive exact path sequence ``mr`` of length ≤ k, on the driver with the
+RLC builder's :func:`repro.core.sequential.hop_table` over the collected
+edge table (:func:`mr_hops`; ``mr`` is the label array itself), so ETC and
+the builder share one hop-table definition; (2) run a semi-naive transitive
+closure with ``mr`` in the join key — all labels' closures advance in the
+same iteration, which is the "edge tables partitioned by label" dataflow
+mapping.
 
-Each iteration of (3) is one Spark job with one hash shuffle: the new rows
+Each iteration of (2) is one Spark job with one hash shuffle: the new rows
 join a broadcast of the hop table, and a single group-by on
 ``(mr, src, dst)`` over the closure and the extension both deduplicates and
 marks which rows are new (:func:`merge_fresh`). The job's ``Observation``
 counts them, so no iteration pays for a separate ``count()``. The loop,
 :func:`fixpoint`, also runs Sys1's batch BFS (``baselines.online``).
-
-Step (2) is a native Spark SQL predicate (:func:`primitive_predicate`), not
-a Python UDF: a sequence of length ``m`` is primitive iff it differs from
-its rotation by every proper divisor ``d`` of ``m``, and for ``m ≤ k`` those
-rotations are fixed ``slice``/``concat`` expressions. The plan therefore has
-no Python evaluation node and the query starts no Python worker.
 
 ETC blows up exactly as the paper reports (Table IV: buildable only for the
 smallest graph in 24h); :class:`Budget` lets callers cap wall-clock time or
@@ -40,13 +36,16 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
-from pyspark.sql import Column, DataFrame, Observation, functions as F
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+from pyspark.sql import DataFrame, Observation, functions as F
 
 from repro.core import labels as lab
 from repro.core.graph import LabeledGraph
+from repro.core.sequential import hop_table
 
 logger = logging.getLogger(__name__)
 
@@ -69,11 +68,15 @@ class Budget:
         self._t0 = time.monotonic()
         return self
 
-    def check(self, rows: int, iteration: int, what: str) -> None:
+    def check_rows(self, rows: int, what: str) -> None:
+        """Raise BudgetExceeded once the time is up or ``rows`` is too many."""
         if self.max_seconds is not None and time.monotonic() - self._t0 > self.max_seconds:
             raise BudgetExceeded(f"{what}: exceeded {self.max_seconds}s")
         if self.max_rows is not None and rows > self.max_rows:
             raise BudgetExceeded(f"{what}: exceeded {self.max_rows} rows ({rows})")
+
+    def check(self, rows: int, iteration: int, what: str) -> None:
+        self.check_rows(rows, what)
         if iteration > self.max_iterations:
             raise BudgetExceeded(f"{what}: exceeded {self.max_iterations} iterations")
 
@@ -112,60 +115,30 @@ class Budget:
             sc.setLocalProperty("spark.jobGroup.id", None)
 
 
-def exact_paths(graph: LabeledGraph, k: int) -> DataFrame:
-    """All distinct ``(src, dst, seq)`` with ``seq`` the exact label sequence
-    of some path of length 1..k (``seq``: array<string>)."""
-    e = graph.edges
-    level = e.select("src", "dst", F.array("label").alias("seq"))
-    out = level
-    for _ in range(1, k):
-        nxt = e.select(F.col("src").alias("_s"), "label", F.col("dst").alias("_d"))
-        level = (
-            level.join(nxt, level["dst"] == F.col("_s"))
-            .select(
-                level["src"],
-                F.col("_d").alias("dst"),
-                F.concat("seq", F.array("label")).alias("seq"),
-            )
-            .distinct()
-        )
-        out = out.unionByName(level)
-    return out
+#: The hop table's Spark schema: ``mr`` is the label sequence itself.
+HOP_SCHEMA = "mr array<string>, src long, dst long"
 
 
-def primitive_predicate(k: int) -> Column:
-    """Spark SQL twin of :func:`repro.core.labels.is_primitive` on the
-    ``array<string>`` column ``seq``: true iff the sequence is non-empty, at
-    most ``k`` long and primitive.
-
-    ``seq`` of length ``m`` equals ``u^(m/d)`` for some ``|u| = d`` iff it
-    equals its rotation by ``d``, so it is primitive iff it differs from its
-    rotation by every proper divisor ``d`` of ``m``. Arrays compare element
-    by element, so labels containing the MR separator are handled exactly.
-    """
-    seq = F.col("seq")
-    pred = F.when(F.size(seq) == 1, True)
-    for m in range(2, k + 1):
-        rotations_differ = [
-            seq != F.concat(F.slice(seq, d + 1, m - d), F.slice(seq, 1, d))
-            for d in range(1, m)
-            if m % d == 0
-        ]
-        pred = pred.when(F.size(seq) == m, reduce(lambda a, b: a & b, rotations_differ))
-    return pred.otherwise(False)
+def hop_rows(graph: LabeledGraph, k: int) -> pa.Table:
+    """The union of hop relations on the driver: ``(mr, src, dst)`` for every
+    primitive exact sequence of length ≤ k, deduplicated, from one pass of
+    :func:`repro.core.sequential.hop_table` over the collected edge table.
+    ``mr`` is the label list, so labels containing the MR separator keep
+    their sequences apart. An Arrow table, which ``createDataFrame`` ships
+    in column batches whether or not the session enables Arrow for pandas."""
+    e = graph.edges.toPandas()
+    vx, verts = pd.factorize(np.concatenate([e["src"], e["dst"]]))
+    label_ix, labels = pd.factorize(e["label"])
+    hops = hop_table(vx[: len(e)], label_ix, vx[len(e) :], len(verts), list(labels), k)
+    sids = np.array(sorted(hops.seqs), np.int64)
+    mrs = pa.array([list(hops.seqs[s]) for s in sids.tolist()], pa.list_(pa.string()))
+    mr = mrs.take(pa.array(np.searchsorted(sids, hops.sid)))
+    return pa.table({"mr": mr, "src": verts[hops.x], "dst": verts[hops.y]})
 
 
 def mr_hops(graph: LabeledGraph, k: int) -> DataFrame:
-    """The union of hop relations: ``(mr, src, dst)`` for every primitive
-    exact sequence of length ≤ k (deduplicated). ``mr`` is the label
-    sequence itself (``array<string>``), so labels containing the MR
-    separator keep their sequences apart."""
-    paths = exact_paths(graph, k)
-    return (
-        paths.where(primitive_predicate(k))
-        .select(F.col("seq").alias("mr"), "src", "dst")
-        .distinct()
-    )
+    """:func:`hop_rows` as a Spark DataFrame (:data:`HOP_SCHEMA`)."""
+    return graph.edges.sparkSession.createDataFrame(hop_rows(graph, k), HOP_SCHEMA)
 
 
 def merge_fresh(known: DataFrame, found: DataFrame, keys: list[str]) -> DataFrame:
@@ -204,12 +177,12 @@ def fixpoint(
     the lazy ``seed`` state (a boolean ``fresh`` column marks new rows), then
     ``state = step(state, seed)`` with one local checkpoint per iteration,
     until no row is fresh; the checkpoint's ``Observation`` counts the fresh
-    rows and the total. Runs under ``budget.enforce``, calls ``budget.check``
-    after every non-empty iteration, and logs ``(what, iteration,
-    delta_rows, total_rows, seconds)`` at INFO for every iteration, the
-    empty last one included. Returns the last state.
+    rows and the total. ``budget`` must be started: its clock also covers
+    what the caller did to build the seed. Runs under ``budget.enforce``,
+    calls ``budget.check`` after every non-empty iteration, and logs
+    ``(what, iteration, delta_rows, total_rows, seconds)`` at INFO for every
+    iteration, the empty last one included. Returns the last state.
     """
-    budget.start()
     with budget.enforce(seed.sparkSession, what):
         state = seed = seed.localCheckpoint()
         it = 0
@@ -233,9 +206,17 @@ def fixpoint(
 def concise_closure(graph: LabeledGraph, k: int, budget: Budget | None = None) -> DataFrame:
     """The concise transitive closure ``{(mr, src, dst)}`` = ETC contents:
     the :func:`fixpoint` of :func:`closure_step` from the hop table, all
-    fresh, whose checkpoint is also the table each step extends by."""
-    seed = mr_hops(graph, k).withColumn("fresh", F.lit(True))
-    return fixpoint(seed, closure_step, budget or Budget(), "concise_closure(ETC)").select(*KEYS)
+    fresh, whose checkpoint is also the table each step extends by. The
+    budget starts before the hop table is built, and its row cap is checked
+    against the hop rows before they are shipped to Spark."""
+    what = "concise_closure(ETC)"
+    budget = (budget or Budget()).start()
+    spark = graph.edges.sparkSession
+    with budget.enforce(spark, what):
+        hops = hop_rows(graph, k)
+    budget.check_rows(hops.num_rows, what)
+    seed = spark.createDataFrame(hops, HOP_SCHEMA).withColumn("fresh", F.lit(True))
+    return fixpoint(seed, closure_step, budget, what).select(*KEYS)
 
 
 class EtcIndex:

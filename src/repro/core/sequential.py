@@ -10,11 +10,14 @@ pruned landmark labeling of each minimum repeat's hop graph (Akiba, Iwata,
 Yoshida, SIGMOD 2013; the reachability form is Yano et al., CIKM 2013):
 ``u ~L+~> v`` iff ``v`` is reachable from ``u`` in one or more hops of
 ``R_L``, the pairs joined by a path spelling exactly ``L`` (§IV). Once per
-build and per direction, :func:`path_table` enumerates ``R_L`` for every
-primitive ``L`` of length at most ``k``. Per root in IN-OUT order and per
-``L`` in the root's row, a BFS over ``R_L`` starts at ``table[root][L]``,
-attempts each vertex it reaches once (PR2, then the PR1 probe, else record)
-and expands only the vertices it recorded. It records the same entries as
+build, :func:`hop_table` enumerates ``R_L`` for every primitive ``L`` of
+length at most ``k`` as columnar numpy arrays over vertices interned by
+IN-OUT rank (so PR2 is an int compare), and :class:`HopGroups` lays it out
+as CSR per direction. Per root in IN-OUT order and per ``L`` group in the
+root's row, a BFS over ``R_L`` starts at that group, attempts each vertex it
+reaches once (PR2, then the PR1 probe, else record) and expands only the
+vertices it recorded. ETC's Spark closure starts from the same table
+(``closure.mr_hops``). It records the same entries as
 the paper's search, which :class:`Algorithm2Index` keeps verbatim as Table
 II's artifact and the tests' oracle. The two searches differ only in how
 often they probe. Algorithm 2 also seeds the kernel-BFS with the deeper
@@ -65,6 +68,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.labels import Seq, is_primitive, mr
 
 Adjacency = dict[int, list[tuple[str, int]]]
@@ -72,9 +77,6 @@ Adjacency = dict[int, list[tuple[str, int]]]
 LabelAdjacency = dict[int, dict[str, list[int]]]
 #: Per-vertex entries bucketed by minimum repeat: ``{vertex: {mr: {hub}}}``.
 Entries = dict[int, dict[Seq, set[int]]]
-#: The hop relation per vertex, primitive exact paths of length 1..k:
-#: ``{vertex: {L: [vertex, ...]}}``.
-PathTable = dict[int, dict[Seq, list[int]]]
 
 _NO_BUCKETS = MappingProxyType({})
 _NO_HUBS: frozenset[int] = frozenset()
@@ -91,35 +93,122 @@ def inout_order(out_adj: Adjacency, in_adj: Adjacency) -> dict[int, int]:
     return {v: i + 1 for i, v in enumerate(scored)}
 
 
-def path_table(adj: Adjacency, k: int, backward: bool = False) -> PathTable:
-    """Every vertex's exact paths of length 1..k that spell a primitive
-    sequence, one BFS over ``(vertex, seq)`` per vertex. Over ``out_adj``,
-    ``table[x][L]`` lists the ``y`` with a path ``x -> y`` spelling ``L``;
-    with ``backward=True`` over ``in_adj`` it lists the ``y`` with a path
-    ``y -> x`` spelling ``L`` (read in edge direction). It is the hop
-    relation ``R_L`` for every ``L`` at once, which ``closure.mr_hops``
-    computes in Spark."""
-    # is_primitive of every sequence seen: at most |labels|^k distinct keys.
-    primitive: dict[Seq, bool] = {}
-    table: PathTable = {}
-    for x in adj:
-        row: dict[Seq, list[int]] = {}
-        level: dict[Seq, set[int]] = {(): {x}}
-        for _ in range(k):
-            nxt: dict[Seq, set[int]] = defaultdict(set)
-            for seq, zs in level.items():
-                for z in zs:
-                    for lbl, y in adj.get(z, ()):
-                        nxt[(lbl,) + seq if backward else seq + (lbl,)].add(y)
-            level = nxt
-            for seq, ys in nxt.items():
-                p = primitive.get(seq)
-                if p is None:
-                    p = primitive[seq] = is_primitive(seq)
-                if p:
-                    row[seq] = list(ys)
-        table[x] = row
-    return table
+@dataclass(frozen=True)
+class HopTable:
+    """The primitive hop relation of length 1..k: row ``i`` says that some
+    path ``x -> y`` spells ``seqs[sid]``, packed as ``key[i] = (x * width +
+    sid) * n + y``. Vertices are the caller's dense ints ``0..n-1``; ``sid``
+    numbers every label sequence of length 1..k over the interned labels,
+    ``width`` of them."""
+
+    key: np.ndarray
+    seqs: dict[int, Seq]
+    width: int
+    n: int
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.key // (self.width * self.n)
+
+    @property
+    def sid(self) -> np.ndarray:
+        return self.key // self.n % self.width
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.key % self.n
+
+    def groups(self) -> tuple["HopGroups", "HopGroups"]:
+        """The table as CSR grouped by ``(y, L)``, for the backward searches,
+        and by ``(x, L)``, for the forward ones."""
+        w, n = self.width, self.n
+        return HopGroups(self.y * w + self.sid, self.x, w, n), HopGroups(self.key // n, self.y, w, n)
+
+
+def hop_table(
+    src: np.ndarray, label: np.ndarray, dst: np.ndarray, n: int, labels: list[str], k: int
+) -> HopTable:
+    """The hop relation ``R_L`` of every primitive ``L`` with ``|L| <= k``,
+    columnar, for the edges ``src[i] -label[i]-> dst[i]`` over the dense
+    vertices ``0..n-1`` (``label[i]`` indexes ``labels``).
+
+    Level ``m`` holds the distinct ``(x, seq, z)`` with a path ``x -> z``
+    spelling the length-``m`` ``seq``, its code in base ``|labels|``, packed
+    into one int64. Level ``m + 1`` extends every row by the out-edges of
+    ``z`` (a source-sorted edge CSR, expanded with ``np.repeat``) and is
+    deduplicated by one sort. Each level keeps its primitive rows: a
+    length-``m`` sequence is primitive iff it differs from its rotation by
+    every proper divisor of ``m``. Raises ValueError when a packed key,
+    below ``|V|^2 * sum(|labels|^m)``, cannot fit in an int64.
+    """
+    nl = len(labels)
+    width = sum(nl**m for m in range(1, k + 1))
+    if n * n * width > np.iinfo(np.int64).max:
+        raise ValueError(f"hop table key overflows int64: |V|^2 * sum(|labels|^m) = {n * n * width}")
+    if not len(src):
+        return HopTable(np.zeros(0, np.int64), {}, width, n)
+    src, label, dst = (np.asarray(a, np.int64) for a in (src, label, dst))
+    order = np.argsort(src)
+    indptr = np.searchsorted(src[order], np.arange(n + 1))
+    # An out-edge's part of the next level's key: its label, then its head.
+    tail = label[order] * n + dst[order]
+    key = (src * nl + label) * n + dst
+    packed, seqs = [], {}
+    base = 0  # sid of the first sequence of length m
+    for m in range(1, k + 1):
+        c = nl**m
+        if m > 1:
+            key = _next_level(key, n, nl, indptr, tail)
+        key.sort()
+        key = key[_run_heads(key)]
+        code = key // n % c
+        # The primitivity test runs once per distinct sequence.
+        seq = np.unique(code)
+        primitive = np.ones(len(seq), bool)
+        for d in range(1, m):
+            if m % d == 0:
+                lead, rest = np.divmod(seq, nl ** (m - d))  # first d labels, the rest
+                primitive &= rest * nl**d + lead != seq
+        seq = seq[primitive]
+        for cp in seq.tolist():
+            seqs[base + cp] = tuple(labels[cp // nl ** (m - 1 - i) % nl] for i in range(m))
+        kept = key[np.isin(code, seq)]
+        # (x * c + code) * n + y  ->  (x * width + base + code) * n + y
+        packed.append(kept + (kept // (c * n) * (width - c) + base) * n)
+        base += c
+    return HopTable(np.concatenate(packed), seqs, width, n)
+
+
+def _run_heads(key: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each run of equal values in the sorted ``key``."""
+    head = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    return head
+
+
+def _next_level(key: np.ndarray, n: int, nl: int, indptr: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Every level key ``(x, seq, z)`` extended by each out-edge of ``z``
+    (the edges sorted by source, ``indptr`` their CSR offsets and ``tail``
+    their label and head), unsorted and with duplicates."""
+    prefix, z = np.divmod(key, n)
+    deg = indptr[z + 1] - indptr[z]
+    edge = np.repeat(indptr[z] - np.cumsum(deg) + deg, deg)
+    edge += np.arange(len(edge))
+    nxt = np.repeat(prefix * (nl * n), deg)
+    nxt += np.take(tail, edge, out=edge)
+    return nxt
+
+
+def adjacency_hop_table(out_adj: Adjacency, verts: list[int], k: int) -> HopTable:
+    """:func:`hop_table` of an adjacency, vertex ``verts[i]`` interned as
+    ``i`` and labels in sorted order."""
+    ix = {v: i for i, v in enumerate(verts)}
+    labels = sorted({lbl for nb in out_adj.values() for lbl, _ in nb})
+    lx = {lbl: i for i, lbl in enumerate(labels)}
+    edges = np.array(
+        [(ix[v], lx[lbl], ix[w]) for v, nb in out_adj.items() for lbl, w in nb], np.int64
+    ).reshape(-1, 3)
+    return hop_table(edges[:, 0], edges[:, 1], edges[:, 2], len(verts), labels, k)
 
 
 @dataclass(frozen=True)
@@ -267,43 +356,53 @@ class SequentialRlcIndex:
         """Pruned landmark labeling of each hop graph ``R_L``, roots in IN-OUT
         order.
 
-        From each root and for each ``L`` in its row of the hop table, a BFS
-        over ``R_L`` starts at ``table[root][L]``. Each vertex it reaches is
+        Vertices are interned by IN-OUT rank, so PR2 is ``y < r``. From each
+        root ``r`` and for each ``L`` group in its row of the hop table, a
+        BFS over ``R_L`` starts at that group. Each vertex it reaches is
         attempted once: PR2, then the PR1 probe, else recorded. Only
-        recorded vertices are expanded, through ``table[x][L]``.
+        recorded vertices are expanded, through their own ``L`` group.
         """
         t0 = time.perf_counter()
-        tables = (
-            (path_table(self.in_adj, self.k, backward=True), self.l_out, True),
-            (path_table(self.out_adj, self.k), self.l_in, False),
-        )
-        states = sum(len(ys) for t, _, _ in tables for row in t.values() for ys in row.values())
-        t1 = time.perf_counter()
         aid = self.aid
+        verts = sorted(aid, key=aid.get)  # the vertex of rank index i
+        hops = adjacency_hop_table(self.out_adj, verts, self.k)
+        backward, forward = hops.groups()
+        # A backward search from r walks the y -> r hops and records into
+        # L_out; a forward one walks r -> y and records into L_in.
+        dirs = ((backward, self.l_out, True), (forward, self.l_in, False))
+        seqs, width, states = hops.seqs, hops.width, 2 * len(hops.key)
+        del hops  # free the table: the search reads only the groups
+        t1 = time.perf_counter()
         query = self.query  # PR1 is a call to the public API
         attempts = pr2 = pr1 = recorded = 0
-        for root in sorted(aid, key=aid.get):
-            rank = aid[root]
-            for table, side, backward in tables:
-                for L, ys in table.get(root, _NO_BUCKETS).items():
-                    seen = set(ys)
-                    queue = deque(ys)
-                    while queue:
-                        y = queue.popleft()
-                        if aid[y] < rank:  # PR2
+        for r, root in enumerate(verts):
+            for g, side, backward in dirs:
+                start, ys, group = g.start, g.ys, g.group
+                for i in range(g.first[r], g.first[r + 1]):
+                    sid = g.sid[i]
+                    L = seqs[sid]
+                    # A list BFS queue: the loop reaches what it appends.
+                    queue = ys[start[i] : start[i + 1]]
+                    seen = set(queue)
+                    for y in queue:
+                        if y < r:  # PR2
                             pr2 += 1
-                        elif query(y, root, L) if backward else query(root, y, L):
+                            continue
+                        v = verts[y]
+                        if query(v, root, L) if backward else query(root, v, L):
                             pr1 += 1  # PR1 (also dedups identical entries)
-                        else:
-                            side.setdefault(y, {}).setdefault(L, set()).add(root)
-                            recorded += 1
-                            # Only a recorded vertex expands; a pruned one is
-                            # covered by a higher-ranked hub (PR3).
-                            for z in table.get(y, _NO_BUCKETS).get(L, ()):
+                            continue
+                        side.setdefault(v, {}).setdefault(L, set()).add(root)
+                        recorded += 1
+                        # Only a recorded vertex expands; a pruned one is
+                        # covered by a higher-ranked hub (PR3).
+                        j = group.get(y * width + sid)
+                        if j is not None:
+                            for z in ys[start[j] : start[j + 1]]:
                                 if z not in seen:
                                     seen.add(z)
                                     queue.append(z)
-                    attempts += len(seen)
+                    attempts += len(queue)
         t2 = time.perf_counter()
         self.stats = BuildStats(
             attempts=attempts,
@@ -316,6 +415,25 @@ class SequentialRlcIndex:
             table_s=t1 - t0,
             search_s=t2 - t1,
         )
+
+
+class HopGroups:
+    """One direction of a :class:`HopTable` as CSR over the rows' ``group =
+    v * width + sid``: group ``i`` is vertex ``v``'s ``ys[start[i]:start[i +
+    1]]`` under sequence id ``sid[i]``, the groups of vertex ``r`` are
+    ``first[r]:first[r + 1]``, and ``group`` maps ``v * width + sid`` to
+    its group. Python lists, because the search reads them one at a time."""
+
+    def __init__(self, group: np.ndarray, y: np.ndarray, width: int, n: int):
+        order = np.argsort(group)
+        head = np.flatnonzero(_run_heads(group[order]))
+        keys = group[order[head]]
+        # One int object per vertex, shared by every row that names it.
+        self.ys: list[int] = np.arange(n).astype(object)[y[order]].tolist()
+        self.start: list[int] = head.tolist() + [len(order)]
+        self.sid: list[int] = (keys % width).tolist()
+        self.first: list[int] = np.searchsorted(keys, np.arange(n + 1) * width).tolist()
+        self.group: dict[int, int] = dict(zip(keys.tolist(), range(len(keys))))
 
 
 class Algorithm2Index(SequentialRlcIndex):

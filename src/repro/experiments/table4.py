@@ -15,6 +15,7 @@ Two builders per graph analog:
 from __future__ import annotations
 
 import time
+from typing import Iterator
 
 from pyspark.sql import SparkSession
 
@@ -53,9 +54,11 @@ def run(
     # rows (~2x the AD analog's closure) at our ~100x-smaller scale.
     etc_budget_seconds: float = 120.0,
     etc_budget_rows: int = 3_000_000,
-) -> list[dict]:
+) -> Iterator[dict]:
+    """One Table IV row per analog, yielded as soon as it is built. A row
+    whose ETC build exceeded its budget has ``etc_it`` None and the reason
+    in ``etc_fail``."""
     names = names or DEFAULT_NAMES
-    rows = []
     for name in names:
         spec = ANALOGS[name]
         if scale != 1.0:
@@ -84,9 +87,8 @@ def run(
         except BudgetExceeded as e:
             row["etc_it"] = None
             row["etc_fail"] = str(e)
-        rows.append(row)
         g.unpersist()
-    return rows
+        yield row
 
 
 def format_table(rows: list[dict]) -> str:
@@ -94,34 +96,44 @@ def format_table(rows: list[dict]) -> str:
         "Table IV — indexing time (IT) and index size (IS): RLC vs ETC",
         f"{'graph':<6} | {'RLC IT(s)':>10} {'RLC IS(MB)':>11} {'#entries':>9}"
         f" | {'ETC IT(s)':>10} {'ETC IS(MB)':>11}"
-        f" | paper RLC {'IT':>8}/{'IS':>7} | paper ETC IT/IS",
+        f" | paper RLC {'IT':>8}/{'IS':>7} | paper ETC IT/IS | why ETC is -",
     ]
-    for r in rows:
-        p_rlc_it, p_rlc_is, p_etc_it, p_etc_is = r["paper"]
-        etc_it = f"{r['etc_it']:.1f}" if r.get("etc_it") is not None else "-"
-        etc_mb = f"{r['etc_mb']:.1f}" if r.get("etc_it") is not None else "-"
-        p_etc = f"{p_etc_it}/{p_etc_is}" if p_etc_it is not None else "-/-"
-        lines.append(
-            f"{r['name']:<6} | {r['rlc_seq_it']:>10.1f} {r['rlc_seq_mb']:>11.2f}"
-            f" {r['rlc_seq_entries']:>9} | {etc_it:>10} {etc_mb:>11}"
-            f" | {p_rlc_it:>14.1f}/{p_rlc_is:>7.1f} | {p_etc}"
-        )
+    lines.extend(table_line(r) for r in rows)
     return "\n".join(lines)
+
+
+def table_line(r: dict) -> str:
+    """One row of :func:`format_table`; a "-" ETC cell ends with the budget
+    it exceeded (time or rows)."""
+    p_rlc_it, p_rlc_is, p_etc_it, p_etc_is = r["paper"]
+    etc_it = f"{r['etc_it']:.1f}" if r.get("etc_it") is not None else "-"
+    etc_mb = f"{r['etc_mb']:.1f}" if r.get("etc_it") is not None else "-"
+    p_etc = f"{p_etc_it}/{p_etc_is}" if p_etc_it is not None else "-/-"
+    return (
+        f"{r['name']:<6} | {r['rlc_seq_it']:>10.1f} {r['rlc_seq_mb']:>11.2f}"
+        f" {r['rlc_seq_entries']:>9} | {etc_it:>10} {etc_mb:>11}"
+        f" | {p_rlc_it:>14.1f}/{p_rlc_is:>7.1f} | {p_etc:<15}"
+        + (f" | {r['etc_fail']}" if "etc_fail" in r else "")
+    ).rstrip()
 
 
 def format_stats(rows: list[dict]) -> str:
     """The RLC builds' :class:`~repro.core.sequential.BuildStats`."""
     lines = [
         "RLC build stats — insert attempts, PR2/PR1 prunes, PR3 cut-offs,"
-        " recorded entries, path-table size and per-phase seconds",
+        " recorded entries, hop-table size and per-phase seconds",
         f"{'graph':<6} | {'attempts':>10} {'PR2':>10} {'probes':>10} {'PR1':>10}"
         f" {'PR3 cut':>10} {'recorded':>9} | {'table':>9} {'table s':>8} {'search s':>9}",
     ]
-    for r in rows:
-        st = r["rlc_stats"]
-        lines.append(
-            f"{r['name']:<6} | {st.attempts:>10} {st.pr2_pruned:>10} {st.probes:>10}"
-            f" {st.pr1_pruned:>10} {st.pr3_cut:>10} {st.recorded:>9} | {st.table_states:>9}"
-            f" {st.table_s:>8.2f} {st.search_s:>9.2f}"
-        )
+    lines.extend(stats_line(r) for r in rows)
     return "\n".join(lines)
+
+
+def stats_line(r: dict) -> str:
+    """One row of :func:`format_stats`."""
+    st = r["rlc_stats"]
+    return (
+        f"{r['name']:<6} | {st.attempts:>10} {st.pr2_pruned:>10} {st.probes:>10}"
+        f" {st.pr1_pruned:>10} {st.pr3_cut:>10} {st.recorded:>9} | {st.table_states:>9}"
+        f" {st.table_s:>8.2f} {st.search_s:>9.2f}"
+    )

@@ -1,8 +1,7 @@
 """Tests for the distributed concise closure (ETC) against brute force and a
-DuckDB recursive-CTE oracle, and for its native primitivity predicate
-against :func:`repro.core.labels.is_primitive`."""
+DuckDB recursive-CTE oracle, and for its hop table against driver
+references."""
 import logging
-from itertools import product
 
 import pytest
 from pyspark.sql import functions as F
@@ -14,24 +13,22 @@ from repro.core.closure import (
     EtcIndex,
     closure_step,
     concise_closure,
-    exact_paths,
     mr_hops,
-    primitive_predicate,
 )
 from repro.core.graph import LabeledGraph
 from repro.core.labels import Seq, is_primitive
 from repro.core.querygen import queries_to_df
-from repro.core.sequential import Adjacency, brute_force_closure, path_table
+from repro.core.sequential import Adjacency, brute_force_closure
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from repro.oracle import assert_equivalent
 from tests.util import (
     COMMA_EDGES,
-    HOSTILE_LABELS,
     RecordingBudget,
     adjacency_edges,
     edge_case_graphs,
     fixpoint_records,
     out_adjacency,
+    path_table,
     seeded_graph,
     spark_jobs,
 )
@@ -74,37 +71,11 @@ def fig2_closure(spark, fig2):
     return concise_closure(fig2, 2).cache()
 
 
-def test_exact_paths_level1_is_edges(spark, fig2):
-    p1 = exact_paths(fig2, 1)
-    got = {(r.src, r.dst, tuple(r.seq)) for r in p1.collect()}
-    want = {(r.src, r.dst, (r.label,)) for r in fig2.edges.collect()}
-    assert got == want
-
-
-def test_exact_paths_depth2_count(spark, fig2):
-    paths = {(r.src, r.dst, tuple(r.seq)) for r in exact_paths(fig2, 2).collect()}
-    # contains e.g. the length-2 path v3 -l2-> v4 -l1-> v1
-    assert (3, 1, ("l2", "l1")) in paths
-    assert all(1 <= len(seq) <= 2 for _, _, seq in paths)
-
-
 def test_mr_hops_only_primitive(spark, fig2):
     hops = mr_hops(fig2, 2).collect()
     assert all(is_primitive(tuple(r.mr)) for r in hops)
     # (l2,l2) from v1 to v4 is not primitive, so it is not a hop; (l2) hops exist.
     assert {(r.src, r.dst) for r in hops if r.mr == ["l2"]} >= {(1, 3), (3, 1), (3, 4)}
-
-
-def test_primitive_predicate_matches_is_primitive(spark):
-    """The Spark predicate equals ``is_primitive`` on every sequence of
-    length 1..5 over hostile labels, and rejects sequences longer than k."""
-    seqs = [list(s) for m in range(1, 6) for s in product(HOSTILE_LABELS, repeat=m)]
-    df = spark.createDataFrame([(s,) for s in seqs], "seq array<string>")
-    rows = df.select("seq", primitive_predicate(5).alias("p5"), primitive_predicate(2).alias("p2"))
-    got = {tuple(r.seq): (r.p5, r.p2) for r in rows.collect()}
-    assert len(got) == len(seqs) == 9330
-    want = {s: (is_primitive(s), len(s) <= 2 and is_primitive(s)) for s in map(tuple, seqs)}
-    assert got == want
 
 
 def test_mr_hops_plans_no_python_udf(spark, fig2):
@@ -113,7 +84,8 @@ def test_mr_hops_plans_no_python_udf(spark, fig2):
 
 
 def builder_hops(out_adj: Adjacency, k: int) -> set[tuple[Seq, int, int]]:
-    """The RLC builder's hop table, which keeps only primitive sequences."""
+    """The reference for the RLC builder's hop table (the dict BFS it
+    replaced), which keeps only primitive sequences."""
     return {
         (seq, x, y)
         for x, row in path_table(out_adj, k).items()
@@ -254,6 +226,17 @@ def test_etc_index_interfaces(spark, fig2, fig2_closure):
     assert ans == {0: True, 1: False, 2: True}
     driver = etc.to_driver()
     assert ("l2", "l1") in driver[(3, 6)]
+
+
+def test_budget_rows_cover_the_hop_table(spark, fig2, caplog):
+    """The row cap is checked against the hop rows before any fixpoint
+    iteration runs."""
+    budget = RecordingBudget(max_rows=1)
+    with caplog.at_level(logging.INFO, logger="repro.core.closure"):
+        with pytest.raises(BudgetExceeded, match="exceeded 1 rows"):
+            concise_closure(fig2, 2, budget=budget)
+    assert budget.checks == []
+    assert fixpoint_records(caplog, "concise_closure(ETC)") == []
 
 
 def test_budget_rows_exceeded(spark, fig2):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.core.sequential import BuildStats
 from repro.experiments import table2, table3, table4, table5
 
 
@@ -24,9 +25,9 @@ def test_table3_run_tiny(spark):
 
 
 def test_table4_run_tiny(spark):
-    rows = table4.run(
+    rows = list(table4.run(
         spark, ["AD"], scale=0.15, etc_budget_seconds=300, etc_budget_rows=10_000_000
-    )
+    ))
     (row,) = rows
     assert row["rlc_seq_entries"] > 0
     assert row["rlc_stats"].recorded == row["rlc_seq_entries"]
@@ -37,10 +38,32 @@ def test_table4_run_tiny(spark):
 
 
 def test_table4_etc_budget_exhaustion(spark):
-    rows = table4.run(spark, ["AD"], scale=0.15, etc_budget_rows=10)
+    rows = list(table4.run(spark, ["AD"], scale=0.15, etc_budget_rows=10))
     (row,) = rows
-    assert row["etc_it"] is None and "etc_fail" in row
+    assert row["etc_it"] is None and "exceeded 10 rows" in row["etc_fail"]
     assert "-" in table4.format_table(rows)
+    assert table4.format_table(rows).endswith(row["etc_fail"])
+
+
+def test_table4_names_the_exceeded_etc_budget():
+    """Each "-" ETC cell ends its line with the budget it exceeded; a
+    finished ETC cell leaves the reason column empty."""
+    stats = BuildStats(10, 2, 8, 3, 5, 5, 40, 0.01, 0.02)
+    base = {"V": 1, "E": 1, "paper": table4.PAPER_TABLE4["AD"], "rlc_stats": stats,
+            "rlc_seq_it": 0.5, "rlc_seq_entries": 5, "rlc_seq_mb": 0.1}
+    rows = [
+        {**base, "name": "T", "etc_it": None, "etc_fail": "concise_closure(ETC): exceeded 120.0s"},
+        {**base, "name": "R", "etc_it": None,
+         "etc_fail": "concise_closure(ETC): exceeded 3000000 rows (3100000)"},
+        {**base, "name": "OK", "etc_it": 2.0, "etc_mb": 1.5},
+    ]
+    lines = table4.format_table(rows).splitlines()
+    assert lines[1].endswith("why ETC is -")
+    assert lines[2].startswith("T ") and lines[2].endswith("exceeded 120.0s")
+    assert lines[3].startswith("R ") and lines[3].endswith("exceeded 3000000 rows (3100000)")
+    assert lines[4].startswith("OK ") and lines[4].endswith("| 2216.1/2798.7")
+    assert table4.table_line(rows[0]) == lines[2]
+    assert table4.stats_line(rows[0]) == table4.format_stats(rows).splitlines()[2]
 
 
 def test_table5_run_tiny(spark):

@@ -8,16 +8,19 @@ and condensed (Theorem 2) on seeded random graphs. The fast builder
 the same entries as the paper's Algorithm 2 verbatim (:class:`Algorithm2Index`).
 """
 import random
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.labels import all_mrs
+from repro.core.labels import all_mrs, is_primitive
 from repro.core.sequential import (
     Algorithm2Index,
     SequentialRlcIndex,
     brute_force_closure,
+    hop_table,
     inout_order,
-    path_table,
 )
 from repro.graphs.generators import FIG2_EDGES
 from tests.util import (
@@ -25,10 +28,13 @@ from tests.util import (
     MergeJoinIndex,
     ProbeCountingIndex,
     assert_matches_merge_join,
+    builder_tables,
     condensed_violations,
+    path_table,
     query_universe,
     rand_adjacency,
     seeded_graph,
+    table_sets,
 )
 
 
@@ -350,12 +356,61 @@ UNUSUAL = {
 }
 
 
+def unusual_adjacency(case: str):
+    n, m, labels, loops, k = UNUSUAL[case]
+    return (*rand_adjacency(random.Random(case), n, m, labels, loops), k)
+
+
+def columnar_cases():
+    """``(out_adj, in_adj, k)`` per case: the seeded graphs, the unusual
+    ones, and the empty graph at k = 1, 2, 3."""
+    cases = {f"seed{seed}": (*seeded_graph(seed)[:2], seeded_graph(seed)[3]) for seed in range(10)}
+    cases.update({case: unusual_adjacency(case) for case in UNUSUAL})
+    cases.update({f"empty_k{k}": ({}, {}, k) for k in (1, 2, 3)})
+    return cases
+
+
+@pytest.mark.parametrize("case", columnar_cases())
+def test_columnar_table_matches_reference(case):
+    """The builder's columnar hop table equals the reference dict BFS,
+    triple for triple and in both directions."""
+    out_adj, in_adj, k = columnar_cases()[case]
+    backward, forward = builder_tables(out_adj, in_adj, k)
+    assert table_sets(backward) == table_sets(path_table(in_adj, k, backward=True))
+    assert table_sets(forward) == table_sets(path_table(out_adj, k))
+    n = sum(len(ys) for row in forward.values() for ys in row.values())
+    assert SequentialRlcIndex(out_adj, in_adj, k).stats.table_states == 2 * n
+
+
+def test_hop_table_keeps_exactly_primitive_sequences():
+    """One vertex with a self loop per hostile label spells every sequence;
+    the table keeps exactly the primitive ones of length 1..5 (9,330 in
+    all)."""
+    labels = HOSTILE_LABELS
+    ones = np.zeros(len(labels), np.int64)
+    hops = hop_table(ones, np.arange(len(labels)), ones, 1, labels, 5)
+    seqs = [s for m in range(1, 6) for s in product(labels, repeat=m)]
+    assert len(seqs) == 9330
+    assert sorted(hops.seqs[s] for s in hops.sid.tolist()) == sorted(filter(is_primitive, seqs))
+
+
+def test_hop_table_refuses_int64_overflow():
+    """The packed ``(x, seq, z)`` key must fit in an int64; a vertex count
+    that cannot is refused before any array is allocated for it."""
+    one = np.zeros(1, np.int64)
+    hop_table(one, one, one, 2**20, ["a", "b"], 3)  # 2^40 * 14 fits
+    with pytest.raises(ValueError, match="overflows int64"):
+        hop_table(one, one, one, 2**32, ["a", "b"], 2)
+    with pytest.raises(ValueError, match="overflows int64"):
+        hop_table(one, one, one, 2**20, ["a", "b", "c", "d"], 12)
+
+
 @pytest.mark.parametrize("case", UNUSUAL)
 def test_unusual_input_both_builders(case):
     """Both builders answer every query as the brute-force closure does, and
     record the same entries, on unusual but legal graphs."""
-    n, m, labels, loops, k = UNUSUAL[case]
-    out_adj, in_adj = rand_adjacency(random.Random(case), n, m, labels, loops)
+    labels = UNUSUAL[case][2]
+    out_adj, in_adj, k = unusual_adjacency(case)
     fast = SequentialRlcIndex(out_adj, in_adj, k)
     alg2 = Algorithm2Index(out_adj, in_adj, k)
     assert fast.entries() == alg2.entries()
@@ -365,3 +420,34 @@ def test_unusual_input_both_builders(case):
         want = (s, t, L) in closure
         assert fast.query(s, t, L) is want, (s, t, L)
         assert alg2.query(s, t, L) is want, (s, t, L)
+
+
+@st.composite
+def hostile_graphs(draw):
+    """A random graph of at most 12 vertices over a subset of
+    ``HOSTILE_LABELS``, self loops allowed, and k in 1..3."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.sampled_from(HOSTILE_LABELS), min_size=1, max_size=3, unique=True))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(labels), st.integers(0, n - 1)), max_size=30)
+    )
+    out_adj = {v: [] for v in range(n)}
+    in_adj = {v: [] for v in range(n)}
+    for s, lbl, t in set(edges):
+        out_adj[s].append((lbl, t))
+        in_adj[t].append((lbl, s))
+    return out_adj, in_adj, labels, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_graphs())
+def test_builder_matches_algorithm2_and_closure(graph):
+    """On random small graphs over hostile labels the builder records
+    Algorithm 2's entries and answers every query as the brute-force
+    closure does."""
+    out_adj, in_adj, labels, k = graph
+    idx = SequentialRlcIndex(out_adj, in_adj, k)
+    assert idx.entries() == Algorithm2Index(out_adj, in_adj, k).entries()
+    closure = brute_force_closure(out_adj, k)
+    for s, t, L in query_universe(len(out_adj), all_mrs(labels, k)):
+        assert idx.query(s, t, L) is ((s, t, L) in closure), (s, t, L)

@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 import random
 import uuid
+from collections import defaultdict
 from types import ModuleType
 from typing import Callable, Iterable, TypeVar
 
@@ -13,7 +14,12 @@ from pyspark.sql import SparkSession
 from repro.core.closure import Budget
 from repro.core.index import ENTRY_SCHEMA, RlcIndex
 from repro.core.labels import Seq, encode, is_primitive
-from repro.core.sequential import Adjacency, SequentialRlcIndex
+from repro.core.sequential import (
+    Adjacency,
+    SequentialRlcIndex,
+    adjacency_hop_table,
+    inout_order,
+)
 
 #: Labels that break string-joined MRs (",") or SQL quoting ("it's"), plus
 #: non-ASCII and the empty label.
@@ -30,6 +36,9 @@ COMMA_QUERIES = [
 ]
 
 T = TypeVar("T")
+
+#: A hop table per vertex: ``{vertex: {L: [vertex, ...]}}``.
+PathTable = dict[int, dict[Seq, list[int]]]
 
 
 def load_file(path: pathlib.Path) -> ModuleType:
@@ -87,6 +96,57 @@ def edge_case_graphs() -> dict[str, tuple[list[tuple[int, str, int]], int]]:
         "hostile_k2": (adjacency_edges(hostile), 2),
         "hostile_k3": (adjacency_edges(hostile), 3),
     }
+
+
+def path_table(adj: Adjacency, k: int, backward: bool = False) -> PathTable:
+    """Reference hop table (the builder's dict BFS before the columnar
+    table): every vertex's exact paths of length 1..k that spell a primitive
+    sequence, one BFS over ``(vertex, seq)`` per vertex. Over ``out_adj``,
+    ``table[x][L]`` lists the ``y`` with a path ``x -> y`` spelling ``L``;
+    with ``backward=True`` over ``in_adj`` it lists the ``y`` with a path
+    ``y -> x`` spelling ``L`` (read in edge direction)."""
+    primitive: dict[Seq, bool] = {}
+    table: PathTable = {}
+    for x in adj:
+        row: dict[Seq, list[int]] = {}
+        level: dict[Seq, set[int]] = {(): {x}}
+        for _ in range(k):
+            nxt: dict[Seq, set[int]] = defaultdict(set)
+            for seq, zs in level.items():
+                for z in zs:
+                    for lbl, y in adj.get(z, ()):
+                        nxt[(lbl,) + seq if backward else seq + (lbl,)].add(y)
+            level = nxt
+            for seq, ys in nxt.items():
+                p = primitive.get(seq)
+                if p is None:
+                    p = primitive[seq] = is_primitive(seq)
+                if p:
+                    row[seq] = list(ys)
+        table[x] = row
+    return table
+
+
+def table_sets(table: PathTable) -> dict[int, dict[Seq, set[int]]]:
+    """``table`` with its lists as sets and its empty rows dropped."""
+    return {x: {L: set(ys) for L, ys in row.items()} for x, row in table.items() if row}
+
+
+def builder_tables(out_adj: Adjacency, in_adj: Adjacency, k: int) -> tuple[PathTable, PathTable]:
+    """The RLC builder's columnar hop table, backward then forward, in the
+    layout of :func:`path_table` (``backward=True``, then over ``out_adj``)."""
+    aid = inout_order(out_adj, in_adj)
+    verts = sorted(aid, key=aid.get)
+    hops = adjacency_hop_table(out_adj, verts, k)
+    tables = []
+    for g in hops.groups():
+        table: PathTable = {}
+        for r, v in enumerate(verts):
+            for i in range(g.first[r], g.first[r + 1]):
+                ys = g.ys[g.start[i] : g.start[i + 1]]
+                table.setdefault(v, {})[hops.seqs[g.sid[i]]] = [verts[y] for y in ys]
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def brute_concat_plus(out_adj: Adjacency, s: int, t: int, a: str, b: str) -> bool:
