@@ -20,9 +20,10 @@ All engines share one interface: ``evaluate(s, t, spec) -> bool`` where
 for the extended query ``a+ . b+`` (Q4). Sys1 and Sys2 traverse the same
 graph × query-NFA product (:func:`spec_nfa`). :func:`rlc_eval` evaluates the
 same specs with the RLC index — Q4 via the paper's §VI-C strategy of
-combining an index lookup with an online traversal, which
-:meth:`SequentialRlcIndex.concat_plus` runs over the index's label-grouped
-out-neighbours.
+combining index lookups with an online traversal, which
+:meth:`SequentialRlcIndex.concat_plus` runs from both ends over the index's
+label-grouped neighbours: ``a``-edges forward from ``s`` and ``b``-edges
+backward into ``t``.
 """
 from __future__ import annotations
 
@@ -129,11 +130,13 @@ def rlc_eval(
 
     ``L+`` is a pure index lookup (Algorithm 1). The extended query
     ``a+ . b+`` uses the paper's hybrid strategy
-    (:meth:`SequentialRlcIndex.concat_plus`): an online traversal along
-    ``a``-labeled edges from ``s`` that evaluates Algorithm 1 for ``(w, t,
-    b+)`` at every visited vertex ``w``. The traversal walks the index's own
-    copy of the graph, so ``out_adj`` is unused; it stays in the signature
-    the Table V harnesses call.
+    (:meth:`SequentialRlcIndex.concat_plus`), an online traversal from both
+    ends: along ``a``-edges from ``s``, evaluating Algorithm 1 for ``(w, t,
+    b+)`` at every visited ``w``, and backward along ``b``-edges into ``t``,
+    evaluating it for ``(s, w, a+)``. Every witness ``w`` (``s ~a+~> w ~b+~>
+    t``) lies on both sides, so the first side to run out answers False. The
+    traversal walks the index's own copy of the graph, so ``out_adj`` is
+    unused; it stays in the signature the Table V harnesses call.
     """
     if spec[0] == "plus":
         return index.query(s, t, tuple(spec[1]))

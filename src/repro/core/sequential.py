@@ -41,10 +41,15 @@ This gives the same answer as the paper's merge join over entry lists
 sorted by ``(aid(hub), mr)``, because that join only ever reports a match
 on entries whose ``mr`` equals ``L``, and ``aid`` is one-to-one on hubs.
 Algorithm 2's PR1 probe is a call to the public :meth:`SequentialRlcIndex.query`.
-The index also keeps its out-neighbours grouped by label, so
+The index also keeps its out- and in-neighbours grouped by label, so
 :meth:`SequentialRlcIndex.concat_plus` answers the extended query ``a+ . b+``
-(§VI-C) by walking ``a``-edges only and reading each visited vertex's
-``(b,)`` bucket against ``L_in(t)[(b,)]``, fetched once per query.
+(§VI-C) by a search from both ends: ``a``-edges forward from ``s``, each
+visited vertex's ``(b,)`` bucket read against ``L_in(t)[(b,)]``, and
+``b``-edges backward into ``t``, each visited vertex's ``(a,)`` bucket read
+against ``L_out(s)[(a,)]``, expanding the side with the smaller stack. Both
+sides look for the same witnesses ``w`` (``s ~a+~> w ~b+~> t``) and each
+visits all of them before it runs out, so the first side to run out proves
+the answer False.
 
 Algorithm 2 line 34-35 (`if i=1 and insert(...) then continue`) is
 ambiguous in the paper's pseudocode. Both builders implement it as *continue
@@ -73,7 +78,7 @@ import numpy as np
 from repro.core.labels import Seq, is_primitive, mr
 
 Adjacency = dict[int, list[tuple[str, int]]]
-#: Out-neighbours grouped by label: ``{vertex: {label: [vertex, ...]}}``.
+#: Out- or in-neighbours grouped by label: ``{vertex: {label: [vertex, ...]}}``.
 LabelAdjacency = dict[int, dict[str, list[int]]]
 #: Per-vertex entries bucketed by minimum repeat: ``{vertex: {mr: {hub}}}``.
 Entries = dict[int, dict[Seq, set[int]]]
@@ -237,8 +242,9 @@ class SequentialRlcIndex:
     graph ``R_L``.
 
     ``stats`` holds the :class:`BuildStats` of the build (None for an index
-    wrapped by :meth:`from_entries`). ``out_by_label`` holds the graph's
-    out-neighbours grouped by label (None for an index wrapped by
+    wrapped by :meth:`from_entries`). ``out_by_label`` and ``in_by_label``
+    hold the graph's out- and in-neighbours grouped by label, both from one
+    pass over ``out_adj`` (None for an index wrapped by
     :meth:`from_entries`, which has no graph).
     """
 
@@ -246,11 +252,18 @@ class SequentialRlcIndex:
         self.k = k
         self.out_adj = out_adj
         self.in_adj = in_adj
-        self.out_by_label: LabelAdjacency | None = {}
+        succ: LabelAdjacency = {}
+        pred: LabelAdjacency = {}
         for v, nb in out_adj.items():
-            by_label = self.out_by_label[v] = {}
+            by_label = succ[v] = {}
             for lbl, w in nb:
                 by_label.setdefault(lbl, []).append(w)
+                into = pred.get(w)
+                if into is None:
+                    into = pred[w] = {}
+                into.setdefault(lbl, []).append(v)
+        self.out_by_label: LabelAdjacency | None = succ
+        self.in_by_label: LabelAdjacency | None = pred
         self.aid = inout_order(out_adj, in_adj)
         self.l_out: Entries = {}
         self.l_in: Entries = {}
@@ -274,6 +287,7 @@ class SequentialRlcIndex:
         self.out_adj = {}
         self.in_adj = {}
         self.out_by_label = None
+        self.in_by_label = None
         self.aid = aid
         self.l_out = {}
         self.l_in = {}
@@ -303,32 +317,62 @@ class SequentialRlcIndex:
 
     # -- §VI-C: the extended query a+ . b+ -----------------------------------
     def concat_plus(self, s: int, t: int, a: str, b: str) -> bool:
-        """Evaluate ``(s, t, a+ . b+)``: a DFS from ``s`` along ``a``-edges,
-        and at every vertex ``w`` it reaches Algorithm 1 for ``(w, t, b+)``.
+        """Evaluate ``(s, t, a+ . b+)`` by a search from both ends.
+
+        The forward side is a DFS from ``s`` along ``a``-edges that runs
+        Algorithm 1 for ``(w, t, b+)`` at every vertex ``w`` it reaches; the
+        backward side is a DFS into ``t`` along ``b``-edges that runs
+        Algorithm 1 for ``(s, w, a+)``. A witness is a ``w`` with ``s ~a+~>
+        w`` and ``w ~b+~> t``, and each side visits every such ``w`` before
+        it runs out, so either side alone is complete: the query answers
+        True when either side finds a witness and False when either side
+        runs out. Each step expands the side with the smaller stack, ties
+        going forward. The backward side is set up only once the forward
+        stack holds two vertices, so a query the forward side settles
+        within a chain of single successors never touches it.
 
         ``s`` itself counts only when an ``a``-cycle leads back to it, since
-        ``a+`` needs a nonempty prefix. Raises ValueError on an index without
-        a graph (:meth:`from_entries`); an unknown ``s`` or ``t`` answers
-        False.
+        ``a+`` needs a nonempty prefix; likewise the backward side visits
+        ``t`` only along a ``b``-cycle.
+        Raises ValueError on an index without a graph
+        (:meth:`from_entries`); an unknown ``s`` or ``t`` answers False.
         """
         succ = self.out_by_label
         if succ is None:
             raise ValueError("a+ . b+ needs the graph; this index was wrapped from entries")
-        L = (b,)
+        B = (b,)
         l_out = self.l_out
-        in_t = self.l_in.get(t, _NO_BUCKETS).get(L, _NO_HUBS)
+        in_t = self.l_in.get(t, _NO_BUCKETS).get(B, _NO_HUBS)
         seen: set[int] = set()
         stack = [s]
+        back: list[int] | None = None  # the backward stack, once set up
         while stack:
-            for w in succ.get(stack.pop(), _NO_BUCKETS).get(a, ()):
-                if w in seen:
-                    continue
-                seen.add(w)
-                # query(w, t, (b,)), with in_t fetched once per query.
-                out_w = l_out.get(w, _NO_BUCKETS).get(L, _NO_HUBS)
-                if w in in_t or t in out_w or not out_w.isdisjoint(in_t):
-                    return True
-                stack.append(w)
+            if back is None or len(stack) <= len(back):
+                for w in succ.get(stack.pop(), _NO_BUCKETS).get(a, ()):
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    # query(w, t, (b,)), with in_t fetched once per query.
+                    out_w = l_out.get(w, _NO_BUCKETS).get(B, _NO_HUBS)
+                    if w in in_t or t in out_w or not out_w.isdisjoint(in_t):
+                        return True
+                    stack.append(w)
+                if back is None and len(stack) > 1:
+                    pred, l_in, A = self.in_by_label, self.l_in, (a,)
+                    out_s = l_out.get(s, _NO_BUCKETS).get(A, _NO_HUBS)
+                    back, back_seen = [t], set()
+            else:
+                for w in pred.get(back.pop(), _NO_BUCKETS).get(b, ()):
+                    if w in back_seen:
+                        continue
+                    back_seen.add(w)
+                    # query(s, w, (a,)), with out_s fetched once per query.
+                    in_w = l_in.get(w, _NO_BUCKETS).get(A, _NO_HUBS)
+                    if w in out_s or s in in_w or not out_s.isdisjoint(in_w):
+                        return True
+                    back.append(w)
+                if not back:
+                    return False
         return False
 
     def entries(self) -> tuple[dict[int, set[tuple[int, Seq]]], dict[int, set[tuple[int, Seq]]]]:

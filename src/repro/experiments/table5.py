@@ -63,6 +63,41 @@ def _gen_q4(out_adj, in_adj, labels, n_true, n_false, seed):
 PASSES = 3
 
 
+class CountingAdjacency(dict):
+    """A label-grouped adjacency that counts its ``get`` calls. Swapped into
+    an index's ``out_by_label`` or ``in_by_label``, it counts the vertices
+    that side of :meth:`SequentialRlcIndex.concat_plus` expands."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def q4_expansions(index: SequentialRlcIndex, specs: list[tuple]) -> list[tuple[int, int]]:
+    """``(forward, backward)`` expansions of each Q4 query ``(s, t,
+    ("concat_plus", a, b))``, counted in one untimed pass with
+    :class:`CountingAdjacency` swapped into ``index``."""
+    succ, pred = index.out_by_label, index.in_by_label
+    fwd, bwd = index.out_by_label, index.in_by_label = CountingAdjacency(succ), CountingAdjacency(pred)
+    counts = []
+    try:
+        for s, t, (_, a, b) in specs:
+            f0, b0 = fwd.gets, bwd.gets
+            index.concat_plus(s, t, a, b)
+            counts.append((fwd.gets - f0, bwd.gets - b0))
+    finally:
+        index.out_by_label, index.in_by_label = succ, pred
+    return counts
+
+
+def _p50_p99(values: list[int]) -> tuple[int, int]:
+    """Nearest-rank median and 99th percentile."""
+    v = sorted(values)
+    return v[len(v) // 2], v[min(len(v) - 1, int(0.99 * len(v)))]
+
+
 def _median_time(
     fn: Callable[[tuple], bool], specs: list[tuple], passes: int
 ) -> tuple[float, list[bool]]:
@@ -135,6 +170,11 @@ def run(
             su = eng_t / rlc_t if rlc_t > 0 else math.inf
             bep = index_it / (eng_t - rlc_t) if eng_t > rlc_t else math.inf
             result["su_bep"][(name, qtype)] = (su, bep)
+    expansions = q4_expansions(index, workloads["Q4"])
+    if expansions:
+        result["q4_expansions"] = {  # side -> (p50, p99) vertices expanded per query
+            side: _p50_p99([e[i] for e in expansions]) for i, side in enumerate(("forward", "backward"))
+        }
     engines["Virtuoso"].close()
     g.unpersist()
     return result
@@ -163,6 +203,12 @@ def format_table(result: dict) -> str:
     lines.append(
         f"answers: {len(result['disagreements'])} engine answers differ from the RLC index"
     )
+    if "q4_expansions" in result:
+        (f50, f99), (b50, b99) = result["q4_expansions"]["forward"], result["q4_expansions"]["backward"]
+        lines.append(
+            f"Q4 hybrid, vertices expanded per query (p50 / p99): forward {f50} / {f99}, "
+            f"backward {b50} / {b99}"
+        )
     lines.append(
         f"per-query times (s, median of {PASSES} passes; Sys1 one pass): "
         + "; ".join(

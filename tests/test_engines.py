@@ -3,6 +3,7 @@ ground truth (and hence with each other) on L+ and a+.b+ queries."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.engines import (
     DuckDbEngine,
@@ -13,6 +14,7 @@ from repro.baselines.engines import (
 from repro.core.graph import LabeledGraph
 from repro.core.labels import all_mrs
 from repro.core.sequential import SequentialRlcIndex, brute_force_closure
+from repro.experiments.table5 import CountingAdjacency, q4_expansions
 from repro.graphs.generators import FIG2_EDGES, fig2_graph
 from tests.util import (
     COMMA_EDGES,
@@ -21,6 +23,8 @@ from tests.util import (
     adjacency_edges,
     brute_concat_plus,
     edge_case_graphs,
+    hostile_graphs,
+    out_adjacency,
     query_universe,
     rand_adjacency,
     seeded_graph,
@@ -132,9 +136,9 @@ def test_rlc_eval_hybrid_q4(fig2_driver, a, b):
 
 
 def probe_traversal(idx: SequentialRlcIndex, s: int, t: int, a: str, b: str) -> bool:
-    """The hybrid Q4 that ``concat_plus`` replaces, kept as its reference: a
-    DFS over every out-edge filtered on ``a``, with one public ``query(w, t,
-    (b,))`` call per visited vertex."""
+    """The first hybrid Q4, kept as a reference: a DFS over every out-edge
+    filtered on ``a``, with one public ``query(w, t, (b,))`` call per
+    visited vertex."""
     probed: set[int] = set()
     stack = [s]
     while stack:
@@ -144,6 +148,27 @@ def probe_traversal(idx: SequentialRlcIndex, s: int, t: int, a: str, b: str) -> 
             if idx.query(w, t, (b,)):
                 return True
             probed.add(w)
+            stack.append(w)
+    return False
+
+
+def forward_concat_plus(idx: SequentialRlcIndex, s: int, t: int, a: str, b: str) -> bool:
+    """The one-ended hybrid Q4 that the two-ended ``concat_plus`` replaces,
+    kept as its reference: a DFS from ``s`` along ``out_by_label``'s
+    ``a``-edges only, testing Algorithm 1 for ``(w, t, (b,))`` inline at
+    every visited ``w`` with ``L_in(t)[(b,)]`` fetched once per query."""
+    L = (b,)
+    in_t = idx.l_in.get(t, {}).get(L, frozenset())
+    seen: set[int] = set()
+    stack = [s]
+    while stack:
+        for w in idx.out_by_label.get(stack.pop(), {}).get(a, ()):
+            if w in seen:
+                continue
+            seen.add(w)
+            out_w = idx.l_out.get(w, {}).get(L, frozenset())
+            if w in in_t or t in out_w or not out_w.isdisjoint(in_t):
+                return True
             stack.append(w)
     return False
 
@@ -189,9 +214,77 @@ def test_concat_plus_matches_probe_traversal(name):
                     got = idx.concat_plus(s, t, a, b)
                     assert got is brute_concat_plus(out_adj, s, t, a, b), (a, b, s, t)
                     assert got is probe_traversal(idx, s, t, a, b), (a, b, s, t)
+                    assert got is forward_concat_plus(idx, s, t, a, b), (a, b, s, t)
                     assert rlc_eval(idx, out_adj, s, t, ("concat_plus", a, b)) is got
                     answers.add(got)
     assert answers == ({False} if name in ("empty", "one_edge") else {True, False})
+
+
+def edge_index(edges: list[tuple[int, str, int]], k: int) -> tuple[dict, SequentialRlcIndex]:
+    """The out-adjacency of ``edges`` and the index built on them."""
+    out_adj = out_adjacency(edges)
+    in_adj = {v: [] for v in out_adj}
+    for s, lbl, t in edges:
+        in_adj[t].append((lbl, s))
+    return out_adj, SequentialRlcIndex(out_adj, in_adj, k)
+
+
+def broom(fan: int, reachable: bool) -> list[tuple[int, str, int]]:
+    """A broom: ``s = 0`` has an ``a``-fan of ``fan`` vertices, each the
+    head of an ``a``-path of three more, and ``t = 1`` has one
+    ``b``-predecessor, ``2``. The first fan vertex has an ``a``-edge to ``2``
+    iff ``reachable``, which makes ``(0, 1, a+ . b+)`` true."""
+    edges = [(2, "b", 1)]
+    for i in range(fan):
+        head = 3 + 4 * i
+        edges += [(0, "a", head)] + [(head + j, "a", head + j + 1) for j in range(3)]
+    if reachable:
+        edges.append((3, "a", 2))
+    return edges
+
+
+@pytest.mark.parametrize("reachable", [True, False])
+def test_concat_plus_broom_expands_the_small_side(reachable):
+    # The forward side expands s, then its stack holds the whole fan while
+    # the backward one holds t alone: the backward side expands t, whose
+    # b-predecessor 2 is the witness, or else 2, which has none. The
+    # one-ended search walks the fan.
+    out_adj, idx = edge_index(broom(50, reachable), 2)
+    assert brute_concat_plus(out_adj, 0, 1, "a", "b") is reachable
+    succ, pred = idx.out_by_label, idx.in_by_label
+    [(forward, backward)] = q4_expansions(idx, [(0, 1, ("concat_plus", "a", "b"))])
+    assert (forward, backward) == (1, 1 if reachable else 2)
+    assert idx.out_by_label is succ and idx.in_by_label is pred
+    assert idx.concat_plus(0, 1, "a", "b") is reachable
+    counted = idx.out_by_label = CountingAdjacency(succ)
+    assert forward_concat_plus(idx, 0, 1, "a", "b") is reachable
+    assert counted.gets > 50
+
+
+def test_concat_plus_ties_go_forward():
+    # s has two a-successors and t two b-predecessors, all dead ends. After
+    # s and t are expanded both stacks hold two vertices, so the forward
+    # side takes the tie and finishes first: 3 forward expansions and 1
+    # backward, where ties going backward would give 1 and 3.
+    _, idx = edge_index([(0, "a", 2), (0, "a", 3), (4, "b", 1), (5, "b", 1)], 2)
+    assert q4_expansions(idx, [(0, 1, ("concat_plus", "a", "b"))]) == [(3, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_graphs(), st.data())
+def test_concat_plus_matches_brute_force_on_hostile_graphs(graph, data):
+    """On random small graphs over hostile labels (self loops, ``a == b``,
+    labels absent from the graph, unknown ``s`` and ``t``) the two-ended Q4
+    and ``rlc_eval`` answer as the brute-force Q4 does."""
+    out_adj, in_adj, labels, k = graph
+    idx = SequentialRlcIndex(out_adj, in_adj, k)
+    a, b = (data.draw(st.sampled_from(labels + ["absent"])) for _ in range(2))
+    ends = range(len(out_adj) + 1)  # the last one is not in the graph
+    for s in ends:
+        for t in ends:
+            want = brute_concat_plus(out_adj, s, t, a, b)
+            assert idx.concat_plus(s, t, a, b) is want, (a, b, s, t)
+            assert rlc_eval(idx, out_adj, s, t, ("concat_plus", a, b)) is want, (a, b, s, t)
 
 
 def test_concat_plus_needs_a_graph(fig2_driver):

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core.labels import all_mrs, is_primitive
 from repro.core.sequential import (
@@ -30,6 +30,7 @@ from tests.util import (
     assert_matches_merge_join,
     builder_tables,
     condensed_violations,
+    hostile_graphs,
     path_table,
     query_universe,
     rand_adjacency,
@@ -420,23 +421,6 @@ def test_unusual_input_both_builders(case):
         want = (s, t, L) in closure
         assert fast.query(s, t, L) is want, (s, t, L)
         assert alg2.query(s, t, L) is want, (s, t, L)
-
-
-@st.composite
-def hostile_graphs(draw):
-    """A random graph of at most 12 vertices over a subset of
-    ``HOSTILE_LABELS``, self loops allowed, and k in 1..3."""
-    n = draw(st.integers(1, 12))
-    labels = draw(st.lists(st.sampled_from(HOSTILE_LABELS), min_size=1, max_size=3, unique=True))
-    edges = draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(labels), st.integers(0, n - 1)), max_size=30)
-    )
-    out_adj = {v: [] for v in range(n)}
-    in_adj = {v: [] for v in range(n)}
-    for s, lbl, t in set(edges):
-        out_adj[s].append((lbl, t))
-        in_adj[t].append((lbl, s))
-    return out_adj, in_adj, labels, draw(st.integers(1, 3))
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from collections import defaultdict
 from types import ModuleType
 from typing import Callable, Iterable, TypeVar
 
+from hypothesis import strategies as st
 from pyspark.sql import SparkSession
 
 from repro.core.closure import Budget
@@ -147,6 +148,23 @@ def builder_tables(out_adj: Adjacency, in_adj: Adjacency, k: int) -> tuple[PathT
                 table.setdefault(v, {})[hops.seqs[g.sid[i]]] = [verts[y] for y in ys]
         tables.append(table)
     return tables[0], tables[1]
+
+
+@st.composite
+def hostile_graphs(draw):
+    """A random graph of at most 12 vertices over a subset of
+    ``HOSTILE_LABELS``, self loops allowed, and k in 1..3."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.sampled_from(HOSTILE_LABELS), min_size=1, max_size=3, unique=True))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(labels), st.integers(0, n - 1)), max_size=30)
+    )
+    out_adj = {v: [] for v in range(n)}
+    in_adj = {v: [] for v in range(n)}
+    for s, lbl, t in set(edges):
+        out_adj[s].append((lbl, t))
+        in_adj[t].append((lbl, s))
+    return out_adj, in_adj, labels, draw(st.integers(1, 3))
 
 
 def brute_concat_plus(out_adj: Adjacency, s: int, t: int, a: str, b: str) -> bool:
