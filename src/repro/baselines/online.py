@@ -16,7 +16,8 @@ Three implementations:
 - :func:`batch_nfa_bfs` — the same product-state BFS as distributed
   dataflow: one transition table built from every query's NFA and one
   state DataFrame carrying every query in the workload at once, so ``L+``
-  and ``a+ . b+`` share one Spark loop, ETC's :func:`fixpoint`.
+  and ``a+ . b+`` share one Spark loop,
+  :func:`repro.core.closure.fixpoint`.
 """
 from __future__ import annotations
 

@@ -11,18 +11,22 @@ boundaries into ``R_L`` hops, and ``MR(L^m) = L`` by Fine–Wilf).
 So: (1) enumerate the hop table, every distinct ``(mr, src, dst)`` with a
 primitive exact path sequence ``mr`` of length ≤ k, on the driver with the
 RLC builder's :func:`repro.core.sequential.hop_table` over the collected
-edge table (:func:`mr_hops`; ``mr`` is the label array itself), so ETC and
-the builder share one hop-table definition; (2) run a semi-naive transitive
-closure with ``mr`` in the join key — all labels' closures advance in the
-same iteration, which is the "edge tables partitioned by label" dataflow
-mapping.
+edge table (``mr`` is the label array itself), so ETC and the builder share
+one hop-table definition; (2) close it in one Spark job with no shuffle
+(:func:`concise_closure`). A closure row ``(mr, src, dst)`` is only ever
+extended at ``dst``, by a hop of the same ``mr``, so ``(src, mr)`` never
+changes during the recursion: the program is decomposable in the sense of
+BigDatalog (Shkapsky et al., SIGMOD 2016). The hop table is broadcast once
+as CSR grouped by ``(src, mr)``; the groups are dealt round-robin over
+``defaultParallelism`` slices, and each ``mapInArrow`` task runs the
+semi-naive loop of its own groups level by level in numpy, over sorted
+packed keys. Each task checks the :class:`Budget` after every level, and an
+accumulator brings each level's delta rows back to the driver, which logs
+and budget-checks the levels once the job ends.
 
-Each iteration of (2) is one Spark job with one hash shuffle: the new rows
-join a broadcast of the hop table, and a single group-by on
-``(mr, src, dst)`` over the closure and the extension both deduplicates and
-marks which rows are new (:func:`merge_fresh`). The job's ``Observation``
-counts them, so no iteration pays for a separate ``count()``. The loop,
-:func:`fixpoint`, also runs Sys1's batch BFS (``baselines.online``).
+:func:`fixpoint` is the semi-naive loop of Spark jobs that Sys1's batch BFS
+(``baselines.online``) runs on; each iteration is one job whose single hash
+shuffle both deduplicates and marks the new rows (:func:`merge_fresh`).
 
 ETC blows up exactly as the paper reports (Table IV: buildable only for the
 smallest graph in 24h); :class:`Budget` lets callers cap wall-clock time or
@@ -36,16 +40,20 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import count, zip_longest
 from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+from pyspark import Accumulator, AccumulatorParam, Broadcast
+from pyspark.errors import PythonException
 from pyspark.sql import DataFrame, Observation, functions as F
 
 from repro.core import labels as lab
 from repro.core.graph import LabeledGraph
-from repro.core.sequential import hop_table
+from repro.core.sequential import csr, csr_expand, hop_table
 
 logger = logging.getLogger(__name__)
 
@@ -119,6 +127,62 @@ class Budget:
 HOP_SCHEMA = "mr array<string>, src long, dst long"
 
 
+@dataclass(frozen=True)
+class _Hops:
+    """A graph's hop table as CSR grouped by ``(x, L)`` and keyed ``x *
+    width + sid``, as in :meth:`repro.core.sequential.HopTable.groups`:
+    group ``i`` is ``group[i]`` and its heads are ``ys[start[i]:start[i +
+    1]]``. Rows are packed as in :class:`~repro.core.sequential.HopTable`,
+    ``(x * width + sid) * n + y`` over interned vertices; ``verts`` and
+    ``mrs`` (the label list of each of ``sids``) turn them back into
+    ``(mr, src, dst)``."""
+
+    group: np.ndarray
+    start: np.ndarray
+    ys: np.ndarray
+    width: int
+    n: int
+    verts: np.ndarray
+    sids: np.ndarray
+    mrs: pa.Array
+
+    def rows(self, key: np.ndarray) -> pa.RecordBatch:
+        """The packed rows ``key`` as an Arrow batch of :data:`HOP_SCHEMA`."""
+        x, y = np.divmod(key, self.n)
+        mr = self.mrs.take(np.searchsorted(self.sids, x % self.width))
+        return pa.RecordBatch.from_arrays(
+            [mr, pa.array(self.verts[x // self.width]), pa.array(self.verts[y])], names=KEYS
+        )
+
+    def seeds(self, groups: np.ndarray) -> np.ndarray:
+        """The packed hop rows of the groups numbered ``groups``."""
+        lo = self.start[groups]
+        return csr_expand(self.group[groups] * self.n, lo, self.start[groups + 1] - lo, self.ys)
+
+    def extend(self, key: np.ndarray) -> np.ndarray:
+        """Every packed row ``(x, L, y)`` of ``key`` extended by each hop
+        ``(y, L, z)`` to ``(x, L, z)``, unsorted and with duplicates."""
+        prefix, y = np.divmod(key, self.n)
+        want = y * self.width + prefix % self.width
+        g = np.minimum(np.searchsorted(self.group, want), len(self.group) - 1)
+        lo = self.start[g]
+        deg = np.where(self.group[g] == want, self.start[g + 1] - lo, 0)
+        return csr_expand(prefix * self.n, lo, deg, self.ys)
+
+
+def _hops(graph: LabeledGraph, k: int) -> _Hops:
+    """:func:`repro.core.sequential.hop_table` of the collected edge table,
+    vertices interned in order of appearance and labels likewise."""
+    e = graph.edges.toPandas()
+    vx, verts = pd.factorize(np.concatenate([e["src"], e["dst"]]))
+    label_ix, labels = pd.factorize(e["label"])
+    hops = hop_table(vx[: len(e)], label_ix, vx[len(e) :], len(verts), list(labels), k)
+    group, start, ys = csr(hops.key // hops.n, hops.y)
+    sids = np.array(sorted(hops.seqs), np.int64)
+    mrs = pa.array([list(hops.seqs[s]) for s in sids.tolist()], pa.list_(pa.string()))
+    return _Hops(group, start, ys, hops.width, hops.n, np.asarray(verts, np.int64), sids, mrs)
+
+
 def hop_rows(graph: LabeledGraph, k: int) -> pa.Table:
     """The union of hop relations on the driver: ``(mr, src, dst)`` for every
     primitive exact sequence of length ≤ k, deduplicated, from one pass of
@@ -126,14 +190,8 @@ def hop_rows(graph: LabeledGraph, k: int) -> pa.Table:
     ``mr`` is the label list, so labels containing the MR separator keep
     their sequences apart. An Arrow table, which ``createDataFrame`` ships
     in column batches whether or not the session enables Arrow for pandas."""
-    e = graph.edges.toPandas()
-    vx, verts = pd.factorize(np.concatenate([e["src"], e["dst"]]))
-    label_ix, labels = pd.factorize(e["label"])
-    hops = hop_table(vx[: len(e)], label_ix, vx[len(e) :], len(verts), list(labels), k)
-    sids = np.array(sorted(hops.seqs), np.int64)
-    mrs = pa.array([list(hops.seqs[s]) for s in sids.tolist()], pa.list_(pa.string()))
-    mr = mrs.take(pa.array(np.searchsorted(sids, hops.sid)))
-    return pa.table({"mr": mr, "src": verts[hops.x], "dst": verts[hops.y]})
+    hops = _hops(graph, k)
+    return pa.Table.from_batches([hops.rows(hops.seeds(np.arange(len(hops.group))))])
 
 
 def mr_hops(graph: LabeledGraph, k: int) -> DataFrame:
@@ -154,26 +212,10 @@ def merge_fresh(known: DataFrame, found: DataFrame, keys: list[str]) -> DataFram
     )
 
 
-def closure_step(state: DataFrame, hops: DataFrame) -> DataFrame:
-    """One semi-naive ETC iteration: extend the ``fresh`` rows of ``state``
-    ``(mr, src, dst, fresh)`` by one hop of the same ``mr`` in ``hops`` and
-    merge them into it. The hop table is broadcast (it is bounded by the
-    graph's exact paths); the closure never is, so the step has one hash
-    shuffle."""
-    delta = state.where("fresh")
-    r = F.broadcast(
-        hops.select(F.col("mr").alias("_m"), F.col("src").alias("_s"), F.col("dst").alias("_d"))
-    )
-    extended = delta.join(r, (delta["mr"] == F.col("_m")) & (delta["dst"] == F.col("_s"))).select(
-        delta["mr"], delta["src"], F.col("_d").alias("dst")
-    )
-    return merge_fresh(state, extended, KEYS)
-
-
 def fixpoint(
     seed: DataFrame, step: Callable[[DataFrame, DataFrame], DataFrame], budget: Budget, what: str
 ) -> DataFrame:
-    """The semi-naive Spark loop of ETC and Sys1's batch BFS. Local-checkpoints
+    """The semi-naive Spark loop of Sys1's batch BFS. Local-checkpoints
     the lazy ``seed`` state (a boolean ``fresh`` column marks new rows), then
     ``state = step(state, seed)`` with one local checkpoint per iteration,
     until no row is fresh; the checkpoint's ``Observation`` counts the fresh
@@ -194,29 +236,111 @@ def fixpoint(
                 obs, F.count_if("fresh").alias("fresh"), F.count(F.lit(1)).alias("rows")
             ).localCheckpoint()
             n, total = obs.get["fresh"], obs.get["rows"]
-            logger.info(
-                "%s iteration %d: %d delta rows, %d total rows, %.3f s",
-                what, it, n, total, time.perf_counter() - t0,
-            )
+            _log_iteration(what, it, n, total, time.perf_counter() - t0)
             if n == 0:
                 return state
             budget.check(total, it, what)
 
 
+def _log_iteration(what: str, iteration: int, delta: int, total: int, seconds: float) -> None:
+    logger.info(
+        "%s iteration %d: %d delta rows, %d total rows, %.3f s", what, iteration, delta, total, seconds
+    )
+
+
+class _LevelSums(AccumulatorParam):
+    """``[(delta rows, seconds), ...]`` per closure level, added level by
+    level over the tasks."""
+
+    def zero(self, value):
+        return []
+
+    def addInPlace(self, a, b):
+        return [(r + s, t + u) for (r, t), (s, u) in zip_longest(a, b, fillvalue=(0, 0.0))]
+
+
+def _close_slices(
+    hops: Broadcast, levels: Accumulator, budget: Budget, started: float, slices: int, what: str, batches
+):
+    """The ``mapInArrow`` body of :func:`concise_closure`. For each slice
+    number ``i`` in ``batches``: yields the hop rows of groups ``i, i +
+    slices, ...``, then the closure's new rows level by level, semi-naive
+    over sorted packed keys; calls ``budget.check`` with the slice's rows
+    after every non-empty level; and adds ``(delta rows, seconds)`` for
+    each level, the empty last one included, to ``levels``. ``started`` is
+    the budget's start in wall-clock time, because a task's process has its
+    own monotonic clock."""
+    h = hops.value
+    budget._t0 = time.monotonic() - (time.time() - started)
+    for batch in batches:
+        for i in batch.column(0).to_pylist():
+            known = delta = np.sort(h.seeds(np.arange(i, len(h.group), slices)))
+            yield h.rows(delta)
+            counts = []
+            for level in count(1):
+                t0 = time.perf_counter()
+                found = np.unique(h.extend(delta))
+                at = np.searchsorted(known, found)
+                fresh = at == len(known)
+                fresh[~fresh] = known[at[~fresh]] != found[~fresh]
+                delta = found[fresh]
+                known = np.insert(known, at[fresh], delta)
+                counts.append((len(delta), time.perf_counter() - t0))
+                if not len(delta):
+                    break
+                budget.check(len(known), level, what)
+                yield h.rows(delta)
+            levels.add(counts)
+
+
 def concise_closure(graph: LabeledGraph, k: int, budget: Budget | None = None) -> DataFrame:
-    """The concise transitive closure ``{(mr, src, dst)}`` = ETC contents:
-    the :func:`fixpoint` of :func:`closure_step` from the hop table, all
-    fresh, whose checkpoint is also the table each step extends by. The
-    budget starts before the hop table is built, and its row cap is checked
-    against the hop rows before they are shipped to Spark."""
+    """The concise transitive closure ``{(mr, src, dst)}`` = ETC contents,
+    local-checkpointed, from one Spark job with no shuffle (module
+    docstring). The budget starts before the hop table is built, and its
+    row cap is checked against the hop rows before they are shipped to
+    Spark. Each task checks the budget after each of its levels, and a
+    task's breach is raised here as :class:`BudgetExceeded`. Once the job
+    ends, every level is logged as ``(what, iteration, delta_rows,
+    total_rows, seconds)`` at INFO, the empty last one included (seconds
+    are task time summed over tasks), and ``budget.check`` runs after each
+    non-empty level with the running total."""
     what = "concise_closure(ETC)"
     budget = (budget or Budget()).start()
     spark = graph.edges.sparkSession
+    sc = spark.sparkContext
     with budget.enforce(spark, what):
-        hops = hop_rows(graph, k)
-    budget.check_rows(hops.num_rows, what)
-    seed = spark.createDataFrame(hops, HOP_SCHEMA).withColumn("fresh", F.lit(True))
-    return fixpoint(seed, closure_step, budget, what).select(*KEYS)
+        hops = _hops(graph, k)
+        total = len(hops.ys)
+        budget.check_rows(total, what)
+        shipped = sc.broadcast(hops)
+        levels = sc.accumulator([], _LevelSums())
+        slices = sc.defaultParallelism
+        caps = Budget(budget.max_seconds, budget.max_rows, budget.max_iterations)
+        started = time.time() - (time.monotonic() - budget._t0)
+        task = partial(_close_slices, shipped, levels, caps, started, slices, what)
+        obs = Observation()
+        try:
+            closure = (
+                spark.range(slices, numPartitions=slices)
+                .mapInArrow(task, HOP_SCHEMA)
+                .observe(obs, F.count(F.lit(1)).alias("rows"))
+                .localCheckpoint()
+            )
+        except PythonException as e:
+            breach = re.findall(r"BudgetExceeded: (.+)", str(e))
+            if not breach:
+                raise
+            raise BudgetExceeded(breach[-1]) from e
+        finally:
+            shipped.destroy()
+    for level, (delta, seconds) in enumerate(levels.value, 1):
+        total += delta
+        _log_iteration(what, level, delta, total, seconds)
+        if delta:
+            budget.check(total, level, what)
+    if total != obs.get["rows"]:
+        raise RuntimeError(f"{what}: the levels add up to {total} rows, the closure has {obs.get['rows']}")
+    return closure
 
 
 class EtcIndex:

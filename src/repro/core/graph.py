@@ -3,9 +3,8 @@
 A graph ``G = (V, E, L)`` is an edge table ``(src: long, label: string,
 dst: long)``; ``V`` is the set of endpoint ids. Edges are deduplicated on the
 full triple (``E`` is a *set* of labeled edges). The table is repartitioned by
-``label`` so label-constrained joins (kernel-BFS steps, the per-``L``
-transitive-closure joins in :mod:`repro.core.closure`) co-locate same-label
-edges.
+``label`` so label-constrained joins (the steps of Sys1's batch BFS in
+:mod:`repro.baselines.online`) co-locate same-label edges.
 """
 from __future__ import annotations
 

@@ -196,10 +196,16 @@ def _next_level(key: np.ndarray, n: int, nl: int, indptr: np.ndarray, tail: np.n
     (the edges sorted by source, ``indptr`` their CSR offsets and ``tail``
     their label and head), unsorted and with duplicates."""
     prefix, z = np.divmod(key, n)
-    deg = indptr[z + 1] - indptr[z]
-    edge = np.repeat(indptr[z] - np.cumsum(deg) + deg, deg)
+    lo = indptr[z]
+    return csr_expand(prefix * (nl * n), lo, indptr[z + 1] - lo, tail)
+
+
+def csr_expand(head: np.ndarray, lo: np.ndarray, deg: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``head[i] + tail[j]`` for every row ``i`` and every ``j`` in its CSR
+    run ``lo[i] : lo[i] + deg[i]``, row by row, with no Python loop."""
+    edge = np.repeat(lo - np.cumsum(deg) + deg, deg)
     edge += np.arange(len(edge))
-    nxt = np.repeat(prefix * (nl * n), deg)
+    nxt = np.repeat(head, deg)
     nxt += np.take(tail, edge, out=edge)
     return nxt
 
@@ -461,6 +467,15 @@ class SequentialRlcIndex:
         )
 
 
+def csr(group: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``y`` grouped by ``group`` as CSR: the distinct groups in ascending
+    order, the offsets of their runs (one more than there are groups), and
+    ``y`` in group order."""
+    order = np.argsort(group)
+    head = np.flatnonzero(_run_heads(group[order]))
+    return group[order[head]], np.append(head, len(order)), y[order]
+
+
 class HopGroups:
     """One direction of a :class:`HopTable` as CSR over the rows' ``group =
     v * width + sid``: group ``i`` is vertex ``v``'s ``ys[start[i]:start[i +
@@ -469,12 +484,10 @@ class HopGroups:
     its group. Python lists, because the search reads them one at a time."""
 
     def __init__(self, group: np.ndarray, y: np.ndarray, width: int, n: int):
-        order = np.argsort(group)
-        head = np.flatnonzero(_run_heads(group[order]))
-        keys = group[order[head]]
+        keys, start, ys = csr(group, y)
         # One int object per vertex, shared by every row that names it.
-        self.ys: list[int] = np.arange(n).astype(object)[y[order]].tolist()
-        self.start: list[int] = head.tolist() + [len(order)]
+        self.ys: list[int] = np.arange(n).astype(object)[ys].tolist()
+        self.start: list[int] = start.tolist()
         self.sid: list[int] = (keys % width).tolist()
         self.first: list[int] = np.searchsorted(keys, np.arange(n + 1) * width).tolist()
         self.group: dict[int, int] = dict(zip(keys.tolist(), range(len(keys))))

@@ -4,17 +4,10 @@ references."""
 import logging
 
 import pytest
+from hypothesis import given, settings
 from pyspark.sql import functions as F
 
-from repro.core.closure import (
-    KEYS,
-    Budget,
-    BudgetExceeded,
-    EtcIndex,
-    closure_step,
-    concise_closure,
-    mr_hops,
-)
+from repro.core.closure import Budget, BudgetExceeded, EtcIndex, concise_closure, mr_hops
 from repro.core.graph import LabeledGraph
 from repro.core.labels import Seq, is_primitive
 from repro.core.querygen import queries_to_df
@@ -27,6 +20,7 @@ from tests.util import (
     adjacency_edges,
     edge_case_graphs,
     fixpoint_records,
+    hostile_graphs,
     out_adjacency,
     path_table,
     seeded_graph,
@@ -193,24 +187,35 @@ def test_closure_edge_cases_match_brute_force(spark, case):
     assert bool(got) == bool(edges)
 
 
-def test_closure_step_plans_one_shuffle(spark, fig2):
-    """An iteration joins a broadcast hop table and merges with exactly one
-    hash shuffle: the dedup, anti-join and union of the closure are one
-    group-by, not an exchange each."""
-    state = mr_hops(fig2, 2).withColumn("fresh", F.lit(True)).localCheckpoint()
-    plan = closure_step(state, state.select(*KEYS))._jdf.queryExecution().executedPlan().toString()
-    assert plan.count("Exchange hashpartitioning") == 1
-    assert plan.count("BroadcastExchange") == 1
+def test_closure_is_one_job_with_no_shuffle(spark, fig2, monkeypatch):
+    """The closure is the hop table's collect plus one job that closes
+    each source's reach inside its own partition: no job per iteration and
+    no exchange in the closure job's plan."""
+    plans = []
+    frame = type(fig2.edges)
+    checkpoint = frame.localCheckpoint
+
+    def spy(self, *args, **kwargs):
+        plans.append(self._jdf.queryExecution().executedPlan().toString())
+        return checkpoint(self, *args, **kwargs)
+
+    monkeypatch.setattr(frame, "localCheckpoint", spy)
+    closure, jobs = spark_jobs(spark, lambda: concise_closure(fig2, 2))
+    assert jobs <= 2
+    (plan,) = plans
+    assert "MapInArrow" in plan and "Exchange" not in plan
+    assert closure_rows(closure) == brute_rows(out_adjacency(FIG2_EDGES), 2)
 
 
-def test_closure_step_starts_no_job(spark, fig2):
-    """Planning an iteration from a checkpointed state runs no Spark job:
-    only the loop's one checkpoint per iteration does work."""
-    state = mr_hops(fig2, 2).withColumn("fresh", F.lit(True)).localCheckpoint()
-    step, planned = spark_jobs(spark, lambda: closure_step(state, state.select(*KEYS)))
-    assert planned == 0
-    _, ran = spark_jobs(spark, step.localCheckpoint)
-    assert ran > 0
+@settings(max_examples=3, deadline=None)
+@given(hostile_graphs())
+def test_closure_matches_brute_force_on_hostile_graphs(spark, graph):
+    """On random small graphs over hostile labels (self loops, the MR
+    separator, the empty label) the closure equals the brute-force one."""
+    out_adj, _, _, k = graph
+    edges = adjacency_edges(out_adj)
+    g = LabeledGraph(spark.createDataFrame(edges, "src long, label string, dst long"))
+    assert closure_rows(concise_closure(g, k)) == brute_rows(out_adj, k)
 
 
 def test_etc_index_interfaces(spark, fig2, fig2_closure):
@@ -247,3 +252,21 @@ def test_budget_rows_exceeded(spark, fig2):
 def test_budget_time_exceeded(spark, fig2):
     with pytest.raises(BudgetExceeded):
         concise_closure(fig2, 2, budget=Budget(max_seconds=0.0))
+
+
+def test_budget_iterations_exceeded(spark):
+    """A 3-hop chain needs two levels past its hop rows, so a level cap of
+    one raises inside the task that closes the chain's head."""
+    chain = LabeledGraph.from_edge_list(spark, [(0, "a", 1), (1, "a", 2), (2, "a", 3)])
+    with pytest.raises(BudgetExceeded, match="exceeded 1 iterations"):
+        concise_closure(chain, 1, budget=Budget(max_iterations=1))
+    assert concise_closure(chain, 1, budget=Budget(max_iterations=2)).count() == 6
+
+
+def test_budget_rows_between_hops_and_closure(spark, fig2):
+    """A row cap that the hop rows meet but the closure exceeds raises once
+    the closure grows past it."""
+    hops = mr_hops(fig2, 2).count()
+    assert hops < 42
+    with pytest.raises(BudgetExceeded, match=f"exceeded {hops} rows"):
+        concise_closure(fig2, 2, budget=Budget(max_rows=hops))

@@ -200,7 +200,8 @@ class RecordingBudget(Budget):
 
 def fixpoint_records(caplog, what: str) -> list[tuple[int, int, int, float]]:
     """The ``(iteration, delta_rows, total_rows, seconds)`` records that
-    :func:`repro.core.closure.fixpoint` logged for the loop ``what``."""
+    :func:`repro.core.closure.fixpoint` or
+    :func:`repro.core.closure.concise_closure` logged for the loop ``what``."""
     return [
         r.args[1:]
         for r in caplog.records
