@@ -20,9 +20,10 @@ BigDatalog (Shkapsky et al., SIGMOD 2016). The hop table is broadcast once
 as CSR grouped by ``(src, mr)``; the groups are dealt round-robin over
 ``defaultParallelism`` slices, and each ``mapInArrow`` task runs the
 semi-naive loop of its own groups level by level in numpy, over sorted
-packed keys. Each task checks the :class:`Budget` after every level, and an
-accumulator brings each level's delta rows back to the driver, which logs
-and budget-checks the levels once the job ends.
+packed keys, expanding each level in bounded chunks. Each task checks the
+:class:`Budget` after every chunk and every level, and an accumulator
+brings each level's delta rows back to the driver, which logs and
+budget-checks the levels once the job ends.
 
 :func:`fixpoint` is the semi-naive loop of Spark jobs that Sys1's batch BFS
 (``baselines.online``) runs on; each iteration is one job whose single hash
@@ -41,8 +42,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, zip_longest
-from typing import Callable
+from itertools import count, pairwise, zip_longest
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -126,6 +127,13 @@ class Budget:
 #: The hop table's Spark schema: ``mr`` is the label sequence itself.
 HOP_SCHEMA = "mr array<string>, src long, dst long"
 
+#: Rows a closure task expands at once before deduplicating them. A level
+#: can fan out far past the row cap (SO ×1 at k=2 crashed its Python workers
+#: expanding whole levels), so a task expands each level in chunks and
+#: checks the budget after each: its memory follows its rows, not the
+#: level's fan-out.
+_CHUNK = 1 << 22
+
 
 @dataclass(frozen=True)
 class _Hops:
@@ -159,15 +167,20 @@ class _Hops:
         lo = self.start[groups]
         return csr_expand(self.group[groups] * self.n, lo, self.start[groups + 1] - lo, self.ys)
 
-    def extend(self, key: np.ndarray) -> np.ndarray:
+    def extend(self, key: np.ndarray) -> Iterator[np.ndarray]:
         """Every packed row ``(x, L, y)`` of ``key`` extended by each hop
-        ``(y, L, z)`` to ``(x, L, z)``, unsorted and with duplicates."""
+        ``(y, L, z)`` to ``(x, L, z)``, unsorted and with duplicates, in
+        chunks of about :data:`_CHUNK` rows (one row of ``key`` with more
+        hops than that is a chunk of its own)."""
         prefix, y = np.divmod(key, self.n)
         want = y * self.width + prefix % self.width
         g = np.minimum(np.searchsorted(self.group, want), len(self.group) - 1)
         lo = self.start[g]
         deg = np.where(self.group[g] == want, self.start[g + 1] - lo, 0)
-        return csr_expand(prefix * self.n, lo, deg, self.ys)
+        ends = np.cumsum(deg)
+        cuts = np.unique(np.searchsorted(ends, np.arange(_CHUNK, ends[-1:].sum(), _CHUNK), "right"))
+        for a, b in pairwise([0, *cuts.tolist(), len(key)]):
+            yield csr_expand(prefix[a:b] * self.n, lo[a:b], deg[a:b], self.ys)
 
 
 def _hops(graph: LabeledGraph, k: int) -> _Hops:
@@ -265,7 +278,8 @@ def _close_slices(
     """The ``mapInArrow`` body of :func:`concise_closure`. For each slice
     number ``i`` in ``batches``: yields the hop rows of groups ``i, i +
     slices, ...``, then the closure's new rows level by level, semi-naive
-    over sorted packed keys; calls ``budget.check`` with the slice's rows
+    over sorted packed keys; calls ``budget.check_rows`` with the slice's
+    rows after every chunk of a level's expansion and ``budget.check``
     after every non-empty level; and adds ``(delta rows, seconds)`` for
     each level, the empty last one included, to ``levels``. ``started`` is
     the budget's start in wall-clock time, because a task's process has its
@@ -279,12 +293,16 @@ def _close_slices(
             counts = []
             for level in count(1):
                 t0 = time.perf_counter()
-                found = np.unique(h.extend(delta))
-                at = np.searchsorted(known, found)
-                fresh = at == len(known)
-                fresh[~fresh] = known[at[~fresh]] != found[~fresh]
-                delta = found[fresh]
-                known = np.insert(known, at[fresh], delta)
+                fresh = []
+                for found in h.extend(delta):
+                    found = np.unique(found)
+                    at = np.searchsorted(known, found)
+                    new = at == len(known)
+                    new[~new] = known[at[~new]] != found[~new]
+                    known = np.insert(known, at[new], found[new])
+                    fresh.append(found[new])
+                    budget.check_rows(len(known), what)
+                delta = np.concatenate(fresh)
                 counts.append((len(delta), time.perf_counter() - t0))
                 if not len(delta):
                     break
@@ -298,8 +316,8 @@ def concise_closure(graph: LabeledGraph, k: int, budget: Budget | None = None) -
     local-checkpointed, from one Spark job with no shuffle (module
     docstring). The budget starts before the hop table is built, and its
     row cap is checked against the hop rows before they are shipped to
-    Spark. Each task checks the budget after each of its levels, and a
-    task's breach is raised here as :class:`BudgetExceeded`. Once the job
+    Spark. Each task checks the budget after each chunk and each level of
+    its own, and a task's breach is raised here as :class:`BudgetExceeded`. Once the job
     ends, every level is logged as ``(what, iteration, delta_rows,
     total_rows, seconds)`` at INFO, the empty last one included (seconds
     are task time summed over tasks), and ``budget.check`` runs after each
@@ -315,6 +333,8 @@ def concise_closure(graph: LabeledGraph, k: int, budget: Budget | None = None) -
         shipped = sc.broadcast(hops)
         levels = sc.accumulator([], _LevelSums())
         slices = sc.defaultParallelism
+        # The tasks get the caps only: a caller's Budget subclass may record
+        # its checks, and those are the driver's per-level checks below.
         caps = Budget(budget.max_seconds, budget.max_rows, budget.max_iterations)
         started = time.time() - (time.monotonic() - budget._t0)
         task = partial(_close_slices, shipped, levels, caps, started, slices, what)

@@ -2,11 +2,14 @@
 DuckDB recursive-CTE oracle, and for its hop table against driver
 references."""
 import logging
+from types import SimpleNamespace
 
+import pyarrow as pa
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from pyspark.sql import functions as F
 
+from repro.core import closure
 from repro.core.closure import Budget, BudgetExceeded, EtcIndex, concise_closure, mr_hops
 from repro.core.graph import LabeledGraph
 from repro.core.labels import Seq, is_primitive
@@ -207,15 +210,49 @@ def test_closure_is_one_job_with_no_shuffle(spark, fig2, monkeypatch):
     assert closure_rows(closure) == brute_rows(out_adjacency(FIG2_EDGES), 2)
 
 
-@settings(max_examples=3, deadline=None)
-@given(hostile_graphs())
-def test_closure_matches_brute_force_on_hostile_graphs(spark, graph):
+@settings(max_examples=2, deadline=None)
+@given(st.lists(hostile_graphs(), min_size=1, max_size=6), st.integers(1, 3))
+def test_closure_matches_brute_force_on_hostile_graphs(spark, graphs, k):
     """On random small graphs over hostile labels (self loops, the MR
-    separator, the empty label) the closure equals the brute-force one."""
-    out_adj, _, _, k = graph
+    separator, the empty label) the closure equals the brute-force one.
+    Each example closes several graphs at once, as one disjoint union,
+    because every closure pays about a second of Spark fixed cost."""
+    out_adj = {}
+    for out, _, _, _ in graphs:
+        base = len(out_adj)
+        out_adj.update({base + v: [(lbl, base + w) for lbl, w in adj] for v, adj in out.items()})
     edges = adjacency_edges(out_adj)
     g = LabeledGraph(spark.createDataFrame(edges, "src long, label string, dst long"))
     assert closure_rows(concise_closure(g, k)) == brute_rows(out_adj, k)
+
+
+def test_close_slices_in_small_chunks(spark, monkeypatch):
+    """A task that expands each level one row at a time yields the
+    closure once, row for row, with the same per-level deltas as a task
+    that expands each level at once: rows found by an earlier chunk of a
+    level are known to the later ones. A diamond ``0 → {1, 2} → 3`` finds
+    ``(0, 3)`` from two chunks of one level; a random graph sits beside it."""
+    edges = [(0, "a", 1), (0, "a", 2), (1, "a", 3), (2, "a", 3), (3, "a", 4)]
+    edges += [(s + 5, lbl, t + 5) for s, lbl, t in adjacency_edges(seeded_graph(5)[0])]
+    out_adj = out_adjacency(edges)
+    g = LabeledGraph(spark.createDataFrame(edges, "src long, label string, dst long"))
+    hops = SimpleNamespace(value=closure._hops(g, 3))
+    slices = pa.record_batch([pa.array([0, 1])], names=["id"])
+
+    def run(chunk):
+        monkeypatch.setattr(closure, "_CHUNK", chunk)
+        levels = []
+        batches = closure._close_slices(
+            hops, SimpleNamespace(add=levels.append), Budget().start(), 0.0, 2, "t", [slices]
+        )
+        rows = [(r["src"], r["dst"], tuple(r["mr"])) for b in batches for r in b.to_pylist()]
+        return rows, [[delta for delta, _ in slice_levels] for slice_levels in levels]
+
+    rows, levels = run(1)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == brute_rows(out_adj, 3)
+    whole_rows, whole_levels = run(1 << 22)
+    assert (sorted(rows), levels) == (sorted(whole_rows), whole_levels)
 
 
 def test_etc_index_interfaces(spark, fig2, fig2_closure):
