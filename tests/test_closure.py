@@ -210,6 +210,26 @@ def test_closure_is_one_job_with_no_shuffle(spark, fig2, monkeypatch):
     assert closure_rows(closure) == brute_rows(out_adjacency(FIG2_EDGES), 2)
 
 
+def test_closure_step_starts_no_job(spark, fig2):
+    """A closure step, one task's level-by-level closing of its sources
+    over the broadcast hop arrays, runs in numpy and starts no Spark job:
+    only ``concise_closure``'s checkpointed ``mapInArrow`` job does work."""
+    hops = SimpleNamespace(value=closure._hops(fig2, 2))
+    slices = pa.record_batch([pa.array([0])], names=["id"])
+
+    def step():
+        batches = closure._close_slices(
+            hops, SimpleNamespace(add=lambda _: None), Budget().start(), 0.0, 1, "t", [slices]
+        )
+        return {(r["src"], r["dst"], tuple(r["mr"])) for b in batches for r in b.to_pylist()}
+
+    rows, stepped = spark_jobs(spark, step)
+    assert stepped == 0
+    assert rows == brute_rows(out_adjacency(FIG2_EDGES), 2)
+    _, ran = spark_jobs(spark, lambda: concise_closure(fig2, 2))
+    assert ran > 0
+
+
 @settings(max_examples=2, deadline=None)
 @given(st.lists(hostile_graphs(), min_size=1, max_size=6), st.integers(1, 3))
 def test_closure_matches_brute_force_on_hostile_graphs(spark, graphs, k):
